@@ -109,8 +109,10 @@ class ProbMatrix:
     """Row-stochastic per-frame token probabilities.
 
     ``probs[t, c]`` is the probability of token ``c`` at frame ``t``. Every
-    row must sum to 1 within ``ROW_SUM_ATOL``; use :func:`validate_prob_matrix`
-    to build one from unchecked rows. The underlying array is frozen.
+    entry must be finite (NaN and infinities raise NormalizationError) and
+    every row must sum to 1 within ``ROW_SUM_ATOL``; use
+    :func:`validate_prob_matrix` to build one from unchecked rows. The
+    underlying array is frozen.
     """
 
     probs: np.ndarray
@@ -122,6 +124,10 @@ class ProbMatrix:
             raise ParameterError(f"expected a (frames, tokens>=2) matrix, got shape {arr.shape}")
         if self.sample_rate_hz <= 0:
             raise ParameterError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        nonfinite = np.argwhere(~np.isfinite(arr))
+        if nonfinite.size:
+            t, c = nonfinite[0]
+            raise NormalizationError(f"probability at frame {t}, token {c} is {arr[t, c]}")
         neg = np.argwhere((arr < 0.0) | (arr > 1.0))
         if neg.size:
             t, c = neg[0]

@@ -9,6 +9,9 @@ extended_prefix_beam_search() -- prefix beam search that additionally tracks,
                                  decoded label comes with its best alignment
                                  (and hence event timings).
 
+Both beam searches run on one core; prefix_beam_search is a view of the
+extended search's hypotheses.
+
 Each beam entry keeps two probabilities: p_b, the mass of alignments for the
 prefix that end in blank, and p_nb, the mass ending in the prefix's last
 token. Per frame each surviving prefix is advanced three ways -- repeat the
@@ -17,29 +20,39 @@ and entries landing on the same prefix merge by summing. Appending a token
 equal to the prefix's last one only draws on p_b: without a separating blank
 the repeat would collapse into the previous event rather than start a new one.
 
-All mass bookkeeping is in natural-log space. Alignment candidates are kept as
-backward-linked chains so appending a frame is O(1); only the winning
-hypotheses are materialized.
+All mass bookkeeping is in natural-log space.
+
+Alignment candidates: the best alignment ending in blank and the best ending
+in non-blank are kept per entry as backpointer cells (parent cell, token), so
+appending a frame is O(1). A cell is turned back into a token sequence only
+for a returned hypothesis or a captured BeamState.
 
 Determinism: beams are pruned by total mass with ties broken toward the
 lexicographically smaller prefix; alignment candidates tie-break toward the
-lexicographically smaller alignment.
+lexicographically smaller alignment. That comparison costs O(1) through a
+per-frame rank: after each frame is pruned, the surviving candidates are
+sorted by (rank of their parent cell, token) and ranked 0, 1, ... in that
+order. Every candidate alive at frame t spans t + 1 frames and no two are the
+same sequence, so for them lexicographic order is exactly the order of their
+parents and then their last token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, collapse
 from .logspace import NEG_INF, log_add, log_matrix
 
-# An alignment chain cell is (parent_cell | None, token); a candidate is
-# (log_probability, chain). Slot layout per prefix while a frame is being
-# built: [log_pb, log_pnb, cand_b, cand_nb].
-_Chain = tuple
-_Candidate = tuple
+# A cell is (parent_cell | None, token). A candidate is [log_probability,
+# order, cell]: while a frame is built, order is parent rank * n_tokens +
+# token, which sorts like the alignments; after pruning it is reset to the
+# candidate's own rank * n_tokens, ready to have the next token added. Slot
+# layout per prefix: [log_pb, log_pnb, cand_b, cand_nb, log_total], the
+# total being filled in by _prune.
 
 
 @dataclass(frozen=True)
@@ -79,30 +92,65 @@ class DecodeResult:
         return self.hypotheses[0]
 
 
-def _materialize(chain: _Chain | None) -> TokenSeq:
+def _alignment(cell) -> TokenSeq:
     out = []
-    while chain is not None:
-        chain, token = chain
+    while cell is not None:
+        cell, token = cell
         out.append(token)
     out.reverse()
     return tuple(out)
 
 
-def _offer(slot: list, idx: int, logp: float, chain: _Chain) -> None:
-    """Keep the better of the incumbent candidate and (logp, chain)."""
-    cur = slot[idx]
-    if cur is None or logp > cur[0]:
-        slot[idx] = (logp, chain)
-    elif logp == cur[0] and _materialize(chain) < _materialize(cur[1]):
-        slot[idx] = (logp, chain)
+def _advance(
+    slot: list, end: int, mass: float, cands: tuple, token: int, lp_token: float
+) -> None:
+    """Move mass and alignment candidates one frame into ``slot`` by ``token``.
+
+    ``end`` is 0 for the blank-ending part of the slot and 1 for the
+    non-blank-ending part. The more probable candidate wins; equal
+    log-probabilities go to the lexicographically smaller alignment, which is
+    the smaller order.
+    """
+    if mass != NEG_INF:
+        v = mass + lp_token
+        cur = slot[end]
+        slot[end] = v if cur == NEG_INF else log_add(cur, v)
+    best = slot[end + 2]
+    for cand in cands:
+        if cand is not None:
+            logp = cand[0] + lp_token
+            if best is None or logp > best[0] or (logp == best[0] and cand[1] + token < best[1]):
+                best = [logp, cand[1] + token, (cand[2], token)]
+    slot[end + 2] = best
 
 
-def _ranked_prefixes(slots: dict) -> list:
-    """Slot entries ordered by total mass descending, then prefix ascending."""
-    # prefixes are unique dict keys, so the sort never reaches the slot lists
-    rows = [(-log_add(s[0], s[1]), prefix, s) for prefix, s in slots.items()]
+def _prune(slots: dict, beam_width: int, n_tokens: int) -> dict:
+    """Keep the beam_width best slots and rank their alignment candidates.
+
+    Slots are ordered by total mass descending, then prefix ascending (the
+    returned dict keeps that order). Each kept candidate's order is reset to
+    its rank among all kept candidates times n_tokens.
+    """
+    rows = []
+    for prefix, s in slots.items():
+        s[4] = tot = log_add(s[0], s[1])
+        rows.append((-tot, prefix, s))
+    # prefixes are unique, so the sort never reaches the slot lists
     rows.sort()
-    return [(prefix, s) for _, prefix, s in rows]
+    beams = {}
+    cands = []
+    for _, prefix, s in rows[:beam_width]:
+        beams[prefix] = s
+        if s[2] is not None:
+            cands.append(s[2])
+        if s[3] is not None:
+            cands.append(s[3])
+    cands.sort(key=itemgetter(1))
+    order = 0
+    for c in cands:
+        c[1] = order
+        order += n_tokens
+    return beams
 
 
 def greedy_decode(m: ProbMatrix, alphabet: Alphabet) -> DecodeResult:
@@ -130,48 +178,11 @@ def prefix_beam_search(
 
     Probabilities are the summed mass of every alignment of the label that
     survived pruning; with a beam wide enough that nothing is ever pruned they
-    are exact. Zero-mass prefixes are dropped from the result.
+    are exact. Zero-mass prefixes are dropped from the result. Labels,
+    ranking and probabilities are those of extended_prefix_beam_search.
     """
-    if beam_width < 1:
-        raise ParameterError(f"beam width must be >= 1, got {beam_width}")
-    if m.n_tokens != alphabet.size:
-        raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
-    n_tokens = alphabet.size
-    log_rows = log_matrix(m.probs).tolist()
-    la, NEG = log_add, NEG_INF
-
-    beams: dict[TokenSeq, list] = {(): [0.0, NEG]}
-    for lp in log_rows:
-        lp_blank = lp[BLANK_ID]
-        slots: dict[TokenSeq, list] = {}
-        for prefix, (pb, pnb) in beams.items():
-            tot = la(pb, pnb)
-            s = slots.get(prefix)
-            if s is None:
-                slots[prefix] = s = [NEG, NEG]
-            last = prefix[-1] if prefix else -1
-            if prefix and pnb != NEG:
-                s[1] = la(s[1], pnb + lp[last])
-            if tot != NEG:
-                s[0] = la(s[0], tot + lp_blank)
-            for c in range(1, n_tokens):
-                ext = prefix + (c,)
-                s2 = slots.get(ext)
-                if s2 is None:
-                    slots[ext] = s2 = [NEG, NEG]
-                if c == last:
-                    if pb != NEG:
-                        s2[1] = la(s2[1], pb + lp[c])
-                elif tot != NEG:
-                    s2[1] = la(s2[1], tot + lp[c])
-        beams = dict(_ranked_prefixes(slots)[:beam_width])
-
-    out = []
-    for prefix, (pb, pnb) in _ranked_prefixes(beams):
-        tot = log_add(pb, pnb)
-        if tot != NEG_INF:
-            out.append((prefix, float(np.exp(tot))))
-    return out
+    result = extended_prefix_beam_search(m, alphabet, beam_width)
+    return [(h.label, h.probability) for h in result.hypotheses]
 
 
 def extended_prefix_beam_search(
@@ -182,12 +193,11 @@ def extended_prefix_beam_search(
 ) -> DecodeResult:
     """Prefix beam search that also recovers the best alignment per label.
 
-    Prefix probabilities and ranking are identical to prefix_beam_search. In
-    addition each beam entry carries the single most probable alignment ending
-    in blank and ending in non-blank; they advance through the same
-    repeat / blank / extend cases as the mass and are resolved to one winner
-    per entry at each frame. The returned alignment for a hypothesis is the
-    better of its two candidates.
+    Each beam entry carries, beside its mass, the single most probable
+    alignment ending in blank and ending in non-blank; they advance through
+    the same repeat / blank / extend cases as the mass and are resolved to one
+    winner per entry at each frame. The returned alignment for a hypothesis is
+    the better of its two candidates.
 
     When ``capture_states`` is a list, a tuple of BeamState snapshots is
     appended per frame (after pruning and candidate resolution).
@@ -198,99 +208,46 @@ def extended_prefix_beam_search(
         raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
     n_tokens = alphabet.size
     log_rows = log_matrix(m.probs).tolist()
-    la, offer, NEG = log_add, _offer, NEG_INF
+    advance, NEG = _advance, NEG_INF
 
-    # prefix -> [log_pb, log_pnb, cand_b, cand_nb]
-    beams: dict[TokenSeq, list] = {(): [0.0, NEG, (0.0, None), None]}
+    beams: dict[TokenSeq, list] = {(): [0.0, NEG, [0.0, 0, None], None, 0.0]}
     for lp in log_rows:
         lp_blank = lp[BLANK_ID]
         slots: dict[TokenSeq, list] = {}
-        for prefix, (pb, pnb, cb, cnb) in beams.items():
-            tot = la(pb, pnb)
+        for prefix, (pb, pnb, cb, cnb, tot) in beams.items():
+            both = (cb, cnb)
             s = slots.get(prefix)
             if s is None:
-                slots[prefix] = s = [NEG, NEG, None, None]
+                slots[prefix] = s = [NEG, NEG, None, None, NEG]
             last = prefix[-1] if prefix else -1
             if prefix:
-                lp_last = lp[last]
-                if pnb != NEG:
-                    v = pnb + lp_last
-                    s[1] = v if s[1] == NEG else la(s[1], v)
-                if cnb is not None:
-                    v = cnb[0] + lp_last
-                    cur = s[3]
-                    if cur is None or v > cur[0]:
-                        s[3] = (v, (cnb[1], last))
-                    elif v == cur[0]:
-                        offer(s, 3, v, (cnb[1], last))
-            if tot != NEG:
-                v = tot + lp_blank
-                s[0] = v if s[0] == NEG else la(s[0], v)
-            if cb is not None:
-                v = cb[0] + lp_blank
-                cur = s[2]
-                if cur is None or v > cur[0]:
-                    s[2] = (v, (cb[1], BLANK_ID))
-                elif v == cur[0]:
-                    offer(s, 2, v, (cb[1], BLANK_ID))
-            if cnb is not None:
-                v = cnb[0] + lp_blank
-                cur = s[2]
-                if cur is None or v > cur[0]:
-                    s[2] = (v, (cnb[1], BLANK_ID))
-                elif v == cur[0]:
-                    offer(s, 2, v, (cnb[1], BLANK_ID))
+                advance(s, 1, pnb, (cnb,), last, lp[last])
+            advance(s, 0, tot, both, BLANK_ID, lp_blank)
             for c in range(1, n_tokens):
-                lp_c = lp[c]
                 ext = prefix + (c,)
                 s2 = slots.get(ext)
                 if s2 is None:
-                    slots[ext] = s2 = [NEG, NEG, None, None]
+                    slots[ext] = s2 = [NEG, NEG, None, None, NEG]
                 if c == last:
                     # extending with the last token again: only blank-ending
                     # mass (and its candidate) can start the new event
-                    if pb != NEG:
-                        v = pb + lp_c
-                        s2[1] = v if s2[1] == NEG else la(s2[1], v)
-                    if cb is not None:
-                        v = cb[0] + lp_c
-                        cur = s2[3]
-                        if cur is None or v > cur[0]:
-                            s2[3] = (v, (cb[1], c))
-                        elif v == cur[0]:
-                            offer(s2, 3, v, (cb[1], c))
+                    advance(s2, 1, pb, (cb,), c, lp[c])
                 else:
-                    if tot != NEG:
-                        v = tot + lp_c
-                        s2[1] = v if s2[1] == NEG else la(s2[1], v)
-                    if cb is not None:
-                        v = cb[0] + lp_c
-                        cur = s2[3]
-                        if cur is None or v > cur[0]:
-                            s2[3] = (v, (cb[1], c))
-                        elif v == cur[0]:
-                            offer(s2, 3, v, (cb[1], c))
-                    if cnb is not None:
-                        v = cnb[0] + lp_c
-                        cur = s2[3]
-                        if cur is None or v > cur[0]:
-                            s2[3] = (v, (cnb[1], c))
-                        elif v == cur[0]:
-                            offer(s2, 3, v, (cnb[1], c))
-        beams = dict(_ranked_prefixes(slots)[:beam_width])
+                    advance(s2, 1, tot, both, c, lp[c])
+        beams = _prune(slots, beam_width, n_tokens)
         if capture_states is not None:
             capture_states.append(tuple(_snapshot(p, b) for p, b in beams.items()))
 
     hypotheses = []
-    for prefix, (pb, pnb, cb, cnb) in _ranked_prefixes(beams):
-        tot = log_add(pb, pnb)
+    for prefix, (pb, pnb, cb, cnb, tot) in beams.items():
         if tot == NEG_INF:
             continue
-        cand = _better_candidate(cb, cnb)
-        if cand is None:
-            continue
-        logp_align, chain = cand
-        alignment = _materialize(chain)
+        # a prefix with mass has a candidate for the part that holds it; the
+        # better of the two wins, equal ones go to the smaller order
+        logp_align, _, cell = max(
+            (c for c in (cb, cnb) if c is not None), key=lambda c: (c[0], -c[1])
+        )
+        alignment = _alignment(cell)
         assert collapse(alignment, alphabet) == prefix
         hypotheses.append(
             Hypothesis(
@@ -305,22 +262,12 @@ def extended_prefix_beam_search(
     return DecodeResult(tuple(hypotheses))
 
 
-def _better_candidate(cb: _Candidate | None, cnb: _Candidate | None) -> _Candidate | None:
-    if cb is None:
-        return cnb
-    if cnb is None:
-        return cb
-    if cb[0] != cnb[0]:
-        return cb if cb[0] > cnb[0] else cnb
-    return cb if _materialize(cb[1]) < _materialize(cnb[1]) else cnb
-
-
 def _snapshot(prefix: TokenSeq, beam) -> BeamState:
-    pb, pnb, cb, cnb = beam
+    pb, pnb, cb, cnb, _ = beam
     return BeamState(
         prefix=prefix,
         p_b=float(np.exp(pb)),
         p_nb=float(np.exp(pnb)),
-        alignment_b=None if cb is None else (_materialize(cb[1]), float(np.exp(cb[0]))),
-        alignment_nb=None if cnb is None else (_materialize(cnb[1]), float(np.exp(cnb[0]))),
+        alignment_b=None if cb is None else (_alignment(cb[2]), float(np.exp(cb[0]))),
+        alignment_nb=None if cnb is None else (_alignment(cnb[2]), float(np.exp(cnb[0]))),
     )

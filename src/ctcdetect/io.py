@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -77,22 +78,23 @@ def read_prob_csv(
             if not col.startswith("p_"):
                 raise FormatError(f"{path}: bad probability column {col!r}")
             names.append(col[2:])
-        rows = []
+        values = array("d")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise FormatError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                rows.append([float(x) for x in row[1:]])
+                values.extend(map(float, row[1:]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
+    if not values:
         raise FormatError(f"{path}: no probability rows")
     if sample_rate_hz is None:
         sample_rate_hz = read_sidecar_rate(path)
     if sample_rate_hz is None:
         sample_rate_hz = 1.0
     alphabet = Alphabet.from_names(names)
-    matrix = validate_prob_matrix(np.array(rows), sample_rate_hz, renormalize=renormalize)
+    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)
+    matrix = validate_prob_matrix(rows, sample_rate_hz, renormalize=renormalize)
     return matrix, alphabet
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq
-from .decode import extended_prefix_beam_search, greedy_decode
+from .decode import extended_prefix_beam_search
 
 DECODE_METHODS = ("greedy", "extended-beam")
 
@@ -142,15 +142,20 @@ def detect_pipeline(
     Slides windows over the recording, decodes each window's top alignment
     (greedy or extended beam search), majority-votes the overlapping
     alignments frame-wise, and eventizes the voted stream.
+
+    Greedy skips the windows: a frame's argmax does not depend on the window
+    around it, so every covering window votes the same token and the vote is
+    the argmax stream itself.
     """
     if method not in DECODE_METHODS:
         raise ParameterError(f"method must be one of {DECODE_METHODS}, got {method!r}")
+    if method == "greedy":
+        if m.n_tokens != alphabet.size:
+            raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
+        return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
     aligned = []
     for start, window in slide_windows(m, spec):
-        if method == "greedy":
-            result = greedy_decode(window, alphabet)
-        else:
-            result = extended_prefix_beam_search(window, alphabet, beam_width)
+        result = extended_prefix_beam_search(window, alphabet, beam_width)
         aligned.append((start, result.top.alignment))
     voted = majority_vote(aligned, m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

@@ -67,6 +67,17 @@ class TestDecodeCommand:
     def test_missing_file(self, tmp_path):
         assert main(["decode", str(tmp_path / "nope.csv")]) == EXIT_IO
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_probability_is_format_error(self, worked_csv, tmp_path, cell):
+        lines = worked_csv.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[2] = cell
+        lines[3] = ",".join(fields)
+        worked_csv.write_text("\n".join(lines) + "\n")
+        assert main(["decode", str(worked_csv)]) == EXIT_FORMAT
+        out = tmp_path / "dets.csv"
+        assert main(["detect", str(worked_csv), "--output", str(out)]) == EXIT_FORMAT
+
 
 class TestLossCommand:
     def test_known_values_with_oracle(self, worked_csv, capsys):

@@ -95,6 +95,15 @@ class TestProbMatrix:
         with pytest.raises(ValueError, match="out of"):
             validate_prob_matrix([[1.2, -0.2]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        rows = np.full((3, 2), 0.5)
+        rows[1, 0] = value
+        with pytest.raises(NormalizationError, match="frame 1, token 0"):
+            ProbMatrix(rows)
+        with pytest.raises(NormalizationError):
+            validate_prob_matrix(rows, renormalize=True)
+
     def test_renormalize_within_tolerance(self):
         m = validate_prob_matrix([[0.3334, 0.3333, 0.3333]], renormalize=True)
         assert m.probs.sum() == pytest.approx(1.0, abs=1e-12)

@@ -19,6 +19,8 @@ from oracles import (
     brute_label_probs,
     random_confident,
     random_stochastic,
+    reference_extended_prefix_beam_search,
+    reference_prefix_beam_search,
 )
 
 EXHAUSTIVE = 10_000
@@ -201,3 +203,50 @@ class TestBeamStateInvariants:
                     assert alignment[-1] != 0
                     assert collapse(alignment, worked_alphabet) == bs.prefix
                     assert prob <= bs.p_nb + 1e-15
+
+
+STREAM_KINDS = ("uniform", "one-hot", "tenths", "random")
+
+
+def _stream(kind: str, rng: np.random.Generator, n_frames: int, n_tokens: int) -> np.ndarray:
+    """Flat, one-hot (log 0 = -inf) or tenths-rounded rows, which tie often; or random rows."""
+    if kind == "uniform":
+        return np.full((n_frames, n_tokens), 1.0 / n_tokens)
+    if kind == "one-hot":
+        rows = np.zeros((n_frames, n_tokens))
+        rows[np.arange(n_frames), rng.integers(0, n_tokens, n_frames)] = 1.0
+        return rows
+    if kind == "tenths":
+        return rng.multinomial(10, np.full(n_tokens, 1.0 / n_tokens), size=n_frames) / 10.0
+    return random_stochastic(rng, n_frames, n_tokens)
+
+
+class TestMatchesReference:
+    """The single core equals the frozen chain-walking decoders bit for bit."""
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    @pytest.mark.parametrize("width", range(1, 11))
+    def test_hypotheses_alignments_and_states(self, kind, width):
+        rng = np.random.default_rng([width, STREAM_KINDS.index(kind)])
+        for _ in range(12):
+            n_tokens = int(rng.integers(2, 5))
+            ab = Alphabet(n_tokens)
+            m = ProbMatrix(_stream(kind, rng, int(rng.integers(1, 30)), n_tokens))
+            states, reference_states = [], []
+            got = extended_prefix_beam_search(m, ab, width, capture_states=states)
+            want = reference_extended_prefix_beam_search(
+                m, ab, width, capture_states=reference_states
+            )
+            assert got == want
+            assert states == reference_states
+            assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    def test_long_streams(self, kind):
+        rng = np.random.default_rng(STREAM_KINDS.index(kind))
+        m = ProbMatrix(_stream(kind, rng, 300, 3))
+        ab = Alphabet(3)
+        for width in (1, 3):
+            got = extended_prefix_beam_search(m, ab, width)
+            assert got == reference_extended_prefix_beam_search(m, ab, width)
+            assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)

@@ -11,6 +11,7 @@ from ctcdetect import (
     detect_pipeline,
     eventize,
     gen_synthetic,
+    greedy_decode,
     majority_vote,
     slide_windows,
     SyntheticScript,
@@ -179,6 +180,28 @@ class TestDetectPipeline:
         greedy = detect_pipeline(m, spec, worked_alphabet, method="greedy")
         beam = detect_pipeline(m, spec, worked_alphabet, method="extended-beam")
         assert greedy == beam
+
+    def test_greedy_equals_windowed_vote(self):
+        # reference: decode every window greedily, then vote; small integer
+        # weights make tied frames common
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n_tokens = int(rng.integers(2, 5))
+            ab = Alphabet(n_tokens)
+            weights = rng.integers(1, 4, size=(int(rng.integers(1, 60)), n_tokens))
+            m = ProbMatrix(weights / weights.sum(axis=1, keepdims=True), 10.0)
+            window = int(rng.integers(1, 20))
+            spec = WindowSpec(window, int(rng.integers(1, window + 1)), 10.0)
+            aligned = [
+                (start, greedy_decode(w, ab).top.alignment) for start, w in slide_windows(m, spec)
+            ]
+            expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
+            assert detect_pipeline(m, spec, ab, method="greedy") == expected
+
+    def test_greedy_checks_alphabet(self):
+        m = _uniform_matrix(10)
+        with pytest.raises(ParameterError):
+            detect_pipeline(m, WindowSpec(4, 2, 1.0), Alphabet(4), method="greedy")
 
     def test_unknown_method_rejected(self, worked_alphabet):
         m = _uniform_matrix(10)
