@@ -17,6 +17,7 @@ from .baselines import (
 from .core import (
     BLANK_ID,
     Alphabet,
+    DataError,
     InvalidTokenError,
     NormalizationError,
     ParameterError,
@@ -71,6 +72,7 @@ __all__ = [
     "BeamState",
     "ClassCounts",
     "CoverageError",
+    "DataError",
     "DecodeResult",
     "Detection",
     "EvalCounts",

@@ -17,6 +17,7 @@ all three can be scored by the same evaluation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class TwoStageParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.min_distance_s <= 0:
-            raise ParameterError(f"minimum distance must be positive, got {self.min_distance_s}")
+        if not 0 < self.min_distance_s < math.inf:
+            raise ParameterError(f"minimum distance must be in (0, inf), got {self.min_distance_s}")
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,12 @@ class ThresholdParams:
     t4: float
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0:
-            raise ParameterError(f"t1 must be positive, got {self.t1}")
-        if self.t2 >= 0:
-            raise ParameterError(f"t2 must be negative, got {self.t2}")
-        if self.t3 < 0 or self.t4 < 0:
-            raise ParameterError("t3 and t4 must be non-negative")
+        if not 0 < self.t1 < math.inf:
+            raise ParameterError(f"t1 must be in (0, inf), got {self.t1}")
+        if not -math.inf < self.t2 < 0:
+            raise ParameterError(f"t2 must be in (-inf, 0), got {self.t2}")
+        if not (0 <= self.t3 < math.inf and 0 <= self.t4 < math.inf):
+            raise ParameterError(f"t3 and t4 must be in [0, inf), got {self.t3}, {self.t4}")
 
 
 def two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[Detection]:
@@ -103,8 +104,8 @@ def threshold_detect(
     series = np.asarray(roll_dps, dtype=np.float64)
     if series.ndim != 1 or series.size == 0:
         raise ParameterError("expected a non-empty 1-D velocity series")
-    if sample_rate_hz <= 0:
-        raise ParameterError(f"sample rate must be positive, got {sample_rate_hz}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ParameterError(f"sample rate must be in (0, inf), got {sample_rate_hz}")
     dwell = params.t3 * sample_rate_hz
     lockout = params.t4 * sample_rate_hz
     detections = []

@@ -2,8 +2,8 @@
 
 Subcommands: decode, detect, loss, eval, baseline two-stage, baseline
 threshold, sweep, gen. Frame-indexed streams travel as CSV, structured
-results as JSON. Exit codes: 0 success, 2 usage error, 3 I/O error,
-4 file-format or data-validation error, 5 parameter error.
+results as JSON. Exit codes are listed in ``_EPILOG`` (``--help``); an
+error's class alone picks one: OSError 3, core.DataError 4, ValueError 5.
 """
 
 from __future__ import annotations
@@ -14,17 +14,11 @@ import sys
 
 from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
-from .core import (
-    Alphabet,
-    InvalidTokenError,
-    NormalizationError,
-    ParameterError,
-    ProbMatrix,
-)
-from .ctc import OracleSizeError, ctc_loss, prob_brute_force, prob_forward
+from .core import Alphabet, DataError, ParameterError, ProbMatrix
+from .ctc import ctc_loss, prob_brute_force, prob_forward
 from .decode import extended_prefix_beam_search, greedy_decode, prefix_beam_search
-from .evaluation import GroundTruthEvent, OrderingError, evaluate, prf1
-from .synth import ScriptError, SyntheticScript, gen_synthetic
+from .evaluation import GroundTruthEvent, evaluate, prf1
+from .synth import SyntheticScript, gen_synthetic
 from .sweep import sweep_beam_width
 from .windowing import Detection, WindowSpec, detect_pipeline
 
@@ -38,8 +32,8 @@ exit codes:
   0  success
   2  usage error (bad flags)
   3  I/O error (missing or unwritable file)
-  4  file-format or data-validation error
-  5  parameter error (values outside their documented ranges)
+  4  data error: malformed file contents or sidecar, or an unknown class name
+  5  parameter error: a flag or parameter value outside its range (NaN, inf too)
 """
 
 
@@ -47,8 +41,16 @@ def _names(alphabet: Alphabet, tokens) -> list[str]:
     return [alphabet.name_of(t) for t in tokens]
 
 
+def _truth(gt_rows, alphabet: Alphabet) -> list[GroundTruthEvent]:
+    """Ground-truth rows as events sorted by start frame."""
+    return sorted(
+        (GroundTruthEvent(alphabet.id_of(name), lo, hi) for lo, hi, name in gt_rows),
+        key=lambda e: e.start_frame,
+    )
+
+
 def _load_probs(args, require_rate: bool) -> tuple[ProbMatrix, Alphabet]:
-    rate = getattr(args, "sample_rate_hz", None)
+    rate = args.sample_rate_hz
     if rate is None:
         rate = fileio.read_sidecar_rate(args.input)
         if rate is None and require_rate:
@@ -137,11 +139,7 @@ def _cmd_eval(args) -> int:
         Detection(alphabet.id_of(name), frame, frame / rate)
         for frame, _, name in det_rows
     ]
-    truth = sorted(
-        (GroundTruthEvent(alphabet.id_of(name), lo, hi) for lo, hi, name in gt_rows),
-        key=lambda e: e.start_frame,
-    )
-    counts = evaluate(detections, truth)
+    counts = evaluate(detections, _truth(gt_rows, alphabet))
     per_class = {}
     macro_f1 = []
     for cls in sorted(counts.per_class):
@@ -191,11 +189,7 @@ def _cmd_sweep(args) -> int:
     truth = None
     spec = None
     if args.ground_truth:
-        gt_rows = fileio.read_gt_csv(args.ground_truth)
-        truth = sorted(
-            (GroundTruthEvent(alphabet.id_of(name), lo, hi) for lo, hi, name in gt_rows),
-            key=lambda e: e.start_frame,
-        )
+        truth = _truth(fileio.read_gt_csv(args.ground_truth), alphabet)
         spec = WindowSpec.from_seconds(args.window_s, m.sample_rate_hz, args.stride_s)
     rows = sweep_beam_width(m, alphabet, widths, window_spec=spec, ground_truth=truth)
     lines = ["beam_width,top_label,top_probability,f1"]
@@ -351,15 +345,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ctcdetect: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        fileio.FormatError,
-        NormalizationError,
-        InvalidTokenError,
-        OrderingError,
-    ) as exc:
-        print(f"ctcdetect: format error: {exc}", file=sys.stderr)
+    except DataError as exc:
+        print(f"ctcdetect: data error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (ParameterError, OracleSizeError, ScriptError, ValueError) as exc:
+    except ValueError as exc:
         print(f"ctcdetect: parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
 

@@ -7,6 +7,7 @@ collapse()     -- merge repeated tokens, then drop blanks: the mapping from a
                   frame-level alignment to its event label sequence.
 validate_prob_matrix() -- checked (optionally renormalizing) constructor for
                   ProbMatrix from raw rows.
+DataError      -- base of the errors about malformed outside data (CLI exit 4).
 
 Alignments and label sequences are plain tuples of token ids throughout the
 package; an alignment has one token per frame, a label sequence is blank-free.
@@ -15,6 +16,7 @@ All types are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +33,16 @@ ROW_SUM_RENORM_ATOL = 1e-3
 TokenSeq = tuple[int, ...]
 
 
-class InvalidTokenError(ValueError):
+class DataError(ValueError):
+    """Outside data (a file's contents, a class name) is malformed."""
+
+
+class InvalidTokenError(DataError):
     """A token id falls outside the alphabet."""
 
 
-class NormalizationError(ValueError):
-    """A probability row does not sum to 1 within tolerance."""
+class NormalizationError(DataError):
+    """A probability lies outside [0, 1] or a row does not sum to 1 within tolerance."""
 
 
 class ParameterError(ValueError):
@@ -109,10 +115,10 @@ class ProbMatrix:
     """Row-stochastic per-frame token probabilities.
 
     ``probs[t, c]`` is the probability of token ``c`` at frame ``t``. Every
-    entry must be finite (NaN and infinities raise NormalizationError) and
+    entry must lie in [0, 1] (NaN and infinities raise NormalizationError) and
     every row must sum to 1 within ``ROW_SUM_ATOL``; use
     :func:`validate_prob_matrix` to build one from unchecked rows. The
-    underlying array is frozen.
+    sample rate must be finite and positive. The underlying array is frozen.
     """
 
     probs: np.ndarray
@@ -122,16 +128,14 @@ class ProbMatrix:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ParameterError(f"expected a (frames, tokens>=2) matrix, got shape {arr.shape}")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        nonfinite = np.argwhere(~np.isfinite(arr))
-        if nonfinite.size:
-            t, c = nonfinite[0]
-            raise NormalizationError(f"probability at frame {t}, token {c} is {arr[t, c]}")
-        neg = np.argwhere((arr < 0.0) | (arr > 1.0))
-        if neg.size:
-            t, c = neg[0]
-            raise ValueError(f"probability out of [0, 1] at frame {t}, token {c}: {arr[t, c]}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ParameterError(f"sample rate must be in (0, inf), got {self.sample_rate_hz}")
+        outside = np.argwhere(~((arr >= 0.0) & (arr <= 1.0)))  # NaN fails both tests
+        if outside.size:
+            t, c = outside[0]
+            raise NormalizationError(
+                f"probability at frame {t}, token {c} is {arr[t, c]}, out of [0, 1]"
+            )
         sums = arr.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_ATOL)
         if bad.size:
@@ -155,10 +159,16 @@ class ProbMatrix:
         return self.frames / self.sample_rate_hz
 
     def window(self, start: int, stop: int) -> "ProbMatrix":
-        """Frame slice ``[start, stop)`` as a new ProbMatrix (same rate)."""
+        """Frame slice ``[start, stop)`` as a read-only view with the same rate.
+
+        A slice of a valid matrix is valid, so it is neither rechecked nor copied.
+        """
         if not 0 <= start < stop <= self.frames:
             raise ParameterError(f"invalid window [{start}, {stop}) for {self.frames} frames")
-        return ProbMatrix(self.probs[start:stop], self.sample_rate_hz)
+        view = object.__new__(ProbMatrix)
+        object.__setattr__(view, "probs", self.probs[start:stop])
+        object.__setattr__(view, "sample_rate_hz", self.sample_rate_hz)
+        return view
 
 
 def validate_prob_matrix(
@@ -170,8 +180,8 @@ def validate_prob_matrix(
 
     With ``renormalize``, rows whose sum is within ``ROW_SUM_RENORM_ATOL`` of 1
     are scaled to sum exactly 1 before the strict check; rows further off still
-    fail. Raises ValueError for entries outside [0, 1] and NormalizationError
-    (with the offending row index) for row-sum violations.
+    fail. Raises NormalizationError for entries that are not finite or lie
+    outside [0, 1], and (with the offending row index) for row-sum violations.
     """
     arr = np.asarray(rows, dtype=np.float64)
     if renormalize and arr.ndim == 2 and arr.shape[0] >= 1:

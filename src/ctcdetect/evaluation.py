@@ -17,11 +17,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .core import BLANK_ID, ParameterError
+from .core import BLANK_ID, DataError, ParameterError
 from .windowing import Detection
 
 
-class OrderingError(ValueError):
+class OrderingError(DataError):
     """Detections were not supplied in frame order."""
 
 

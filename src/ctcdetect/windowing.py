@@ -9,6 +9,7 @@ spacing between detections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +39,19 @@ class WindowSpec:
             raise ParameterError(
                 f"stride must be in [1, window] frames, got {self.stride_frames}"
             )
-        if self.sample_rate_hz <= 0:
-            raise ParameterError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ParameterError(f"sample rate must be in (0, inf), got {self.sample_rate_hz}")
 
     @classmethod
     def from_seconds(
         cls, window_s: float, sample_rate_hz: float, stride_s: float | None = None
     ) -> "WindowSpec":
         """Build a spec from seconds; stride defaults to half the window."""
-        window = max(1, round(window_s * sample_rate_hz))
-        stride = window // 2 if stride_s is None else round(stride_s * sample_rate_hz)
+        frames = [x * sample_rate_hz for x in (window_s, stride_s) if x is not None]
+        if not all(0 < f < math.inf for f in frames):
+            raise ParameterError(f"window/stride frames must be positive and finite, got {frames}")
+        window = max(1, round(frames[0]))
+        stride = window // 2 if stride_s is None else round(frames[1])
         return cls(window, max(1, stride), sample_rate_hz)
 
 

@@ -224,3 +224,72 @@ class TestGenCommand:
             ]
         )
         assert code == EXIT_PARAMETER
+
+
+# A valid two-class stream; the table below breaks one thing at a time.
+_ROWS = "t,p_blank,p_E\n" + "".join(f"{t},0.5,0.5\n" for t in range(40))
+_RATED = {"p.csv": _ROWS, "p.csv.json": '{"sample_rate_hz": 10}'}
+
+
+def _sidecar(text):
+    return {"p.csv": _ROWS, "p.csv.json": text}
+
+
+_DETECT = ["detect", "p.csv", "--output", "o.csv"]
+_EVAL = ["eval", "--detections", "d.csv", "--ground-truth", "g.csv"]
+# later flags override these defaults
+_THRESHOLD = ["baseline", "threshold", "v.csv", "--t1", "1", "--t2", "-1", "--t3", "0",
+              "--t4", "0", "--sample-rate-hz", "10", "--output", "o.csv"]
+
+MALFORMED = [
+    # a file's contents or its sidecar: DataError, exit 4
+    pytest.param({"p.csv": "t,p_blank,p_E\n0,1.2,-0.2\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="probability-above-one"),
+    pytest.param({"p.csv": "t,p_blank,p_E,p_E\n0,0.5,0.25,0.25\n"}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="repeated-class-column"),
+    pytest.param({"p.csv": b"t,p_blank,p_E\n0,0.5\xff,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="csv-not-utf8"),
+    pytest.param({"p.csv": 't,p_blank,p_E\n0,0.5,"' + "1" * 200_000 + '"\n'}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="csv-field-over-limit"),
+    pytest.param({"d.csv": "frame,time_s,class\n1,0.1,E\n",
+                  "g.csv": b"start_frame,end_frame,class\n0,5,E\xff\n"}, _EVAL, EXIT_FORMAT,
+                 id="ground-truth-not-utf8"),
+    pytest.param(_sidecar('{"sample_rate_hz": null}'), _DETECT, EXIT_FORMAT, id="sidecar-null"),
+    pytest.param(_sidecar('{"sample_rate_hz": "fast"}'), _DETECT, EXIT_FORMAT,
+                 id="sidecar-string"),
+    pytest.param(_sidecar('{"sample_rate_hz": Infinity}'), _DETECT, EXIT_FORMAT,
+                 id="sidecar-infinity"),
+    pytest.param(_sidecar('{"sample_rate_hz": 1' + "0" * 400 + "}"), ["decode", "p.csv"],
+                 EXIT_FORMAT, id="sidecar-too-large-for-float"),
+    pytest.param(_sidecar(b'{"sample_rate_hz": 10\xff}'), ["decode", "p.csv"], EXIT_FORMAT,
+                 id="sidecar-not-utf8"),
+    # a flag value: ParameterError, exit 5
+    pytest.param(_RATED, ["decode", "p.csv", "--sample-rate-hz", "nan"], EXIT_PARAMETER,
+                 id="rate-nan"),
+    pytest.param(_RATED, _DETECT + ["--sample-rate-hz", "inf"], EXIT_PARAMETER, id="rate-inf"),
+    pytest.param(_RATED, _DETECT + ["--window-s", "inf"], EXIT_PARAMETER, id="window-inf"),
+    pytest.param(_RATED, _DETECT + ["--stride-s", "inf"], EXIT_PARAMETER, id="stride-inf"),
+    pytest.param(_RATED, _DETECT + ["--window-s", "0"], EXIT_PARAMETER, id="window-zero"),
+    pytest.param(_RATED, _DETECT + ["--stride-s", "-3"], EXIT_PARAMETER, id="stride-negative"),
+    pytest.param(_RATED, ["baseline", "two-stage", "p.csv", "--min-dist-s", "nan",
+                          "--output", "o.csv"], EXIT_PARAMETER, id="min-dist-nan"),
+    pytest.param({"v.csv": "t,roll_dps\n0,1.0\n"}, _THRESHOLD + ["--t1", "nan"], EXIT_PARAMETER,
+                 id="threshold-t1-nan"),
+    pytest.param({"v.csv": "t,roll_dps\n0,1.0\n"}, _THRESHOLD + ["--sample-rate-hz", "inf"],
+                 EXIT_PARAMETER, id="threshold-rate-inf"),
+    pytest.param({}, ["gen", "--frames", "10", "--events", "E@5", "--sample-rate-hz", "nan",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-rate-nan"),
+]
+
+
+@pytest.mark.parametrize("files, argv, code", MALFORMED)
+def test_malformed_input_exit_code(tmp_path, monkeypatch, capsys, files, argv, code):
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("ctcdetect: ") and "Traceback" not in err

@@ -119,6 +119,12 @@ class TestProbMatrix:
         with pytest.raises(ParameterError):
             worked_matrix.window(5, 2)
 
+    def test_window_is_read_only_view(self, worked_matrix):
+        w = worked_matrix.window(2, 5)
+        assert np.shares_memory(w.probs, worked_matrix.probs)
+        assert not w.probs.flags.writeable
+        assert w.sample_rate_hz == worked_matrix.sample_rate_hz
+
     def test_bad_sample_rate(self):
         with pytest.raises(ParameterError):
             ProbMatrix(np.array([[0.5, 0.5]]), sample_rate_hz=0.0)

@@ -1,4 +1,8 @@
-"""Property tests: the forward pass and the beam decoders against enumeration."""
+"""Property tests: the forward pass and the beam decoders against enumeration,
+and the vote and eventize steps against per-frame counting."""
+
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,11 +11,14 @@ from hypothesis import strategies as st
 
 from ctcdetect import (
     Alphabet,
+    CoverageError,
     ProbMatrix,
     best_alignment_brute_force,
     collapse,
     enumerate_alignments,
+    eventize,
     extended_prefix_beam_search,
+    majority_vote,
     prob_forward,
 )
 
@@ -86,3 +93,48 @@ def test_alignments_collapse_and_are_bounded(m, width):
         assert len(hyp.alignment) == m.frames
         assert collapse(hyp.alignment, ab) == hyp.label
         assert hyp.alignment_log_probability <= hyp.log_probability + 1e-12
+
+
+@examples
+@given(st.lists(st.integers(0, 3), max_size=40))
+def test_eventize_one_detection_per_run(tokens):
+    expected, frame = [], 0
+    for token, run in itertools.groupby(tokens):
+        length = len(list(run))
+        if token != 0:
+            apex = frame + (length - 1) // 2
+            expected.append((token, apex, apex / 8.0))
+        frame += length
+    assert [(d.class_id, d.frame, d.time_s) for d in eventize(tokens, 8.0)] == expected
+
+
+@st.composite
+def window_votes(draw):
+    """(alphabet size, frames, [(start, alignment)]) with windows inside the frames."""
+    n_tokens = draw(st.integers(2, 4))
+    total = draw(st.integers(1, 30))
+    token_run = lambda n: st.lists(st.integers(0, n_tokens - 1), min_size=n, max_size=n)
+    windows = [(0, tuple(draw(token_run(total))))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, total - 1))
+        windows.append((start, tuple(draw(token_run(draw(st.integers(1, total - start)))))))
+    return n_tokens, total, windows
+
+
+@examples
+@given(window_votes())
+def test_majority_vote_counts_votes(case):
+    n_tokens, total, windows = case
+    votes = [Counter() for _ in range(total)]
+    for start, tokens in windows:
+        for offset, token in enumerate(tokens):
+            votes[start + offset][token] += 1
+    if not all(votes):
+        with pytest.raises(CoverageError):
+            majority_vote(windows, total, Alphabet(n_tokens))
+        return
+    expected = []
+    for count in votes:
+        (token, lead), *rest = count.most_common()
+        expected.append(0 if rest and rest[0][1] == lead else token)
+    assert majority_vote(windows, total, Alphabet(n_tokens)).tolist() == expected
