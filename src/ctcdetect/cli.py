@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import io as fileio
@@ -134,7 +135,9 @@ def _cmd_eval(args) -> int:
     if not names:
         raise ParameterError("no classes found in either file")
     alphabet = Alphabet.from_names(names)
-    rate = args.sample_rate_hz or 1.0
+    rate = args.sample_rate_hz
+    if not 0 < rate < math.inf:
+        raise ParameterError(f"sample rate must be in (0, inf), got {rate}")
     detections = [
         Detection(alphabet.id_of(name), frame, frame / rate)
         for frame, _, name in det_rows
@@ -288,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("eval", help="score detections against ground truth")
     p.add_argument("--detections", required=True, help="detections CSV")
     p.add_argument("--ground-truth", required=True, help="ground-truth CSV")
-    p.add_argument("--sample-rate-hz", type=float, default=None)
+    p.add_argument("--sample-rate-hz", type=float, default=1.0,
+                   help="frames per second, for detection times only")
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_eval)
 

@@ -22,6 +22,21 @@ the repeat would collapse into the previous event rather than start a new one.
 
 All mass bookkeeping is in natural-log space.
 
+Prefix nodes: a prefix is a node of a trie built per decode, which stores
+each node's parent, last token and depth; node 0 is the empty prefix. A
+prefix is also named by its edge, parent * n_tokens + token (-1 for the empty
+prefix), and a ``children`` map takes an edge to its node. Slots are keyed by
+edge, so extending a prefix costs O(1) whatever the label length. Pruning
+allocates a node only for a kept edge that has none, so the trie holds at
+most frames x beam_width nodes beside the root, and a pruned prefix that
+comes back finds its old node: one prefix is one node, so merges stay exact.
+Label tuples are built only for returned hypotheses and captured BeamStates.
+
+A zero-mass beam entry (a probability of exactly 0 gives log 0) passes on
+only zero mass and zero-probability alignments, which change no other slot,
+and zero-mass labels are not returned, so pruning drops zero-mass slots;
+with ``capture_states`` they are kept, so the snapshots show the whole beam.
+
 Alignment candidates: the best alignment ending in blank and the best ending
 in non-blank are kept per entry as backpointer cells (parent cell, token), so
 appending a frame is O(1). A cell is turned back into a token sequence only
@@ -29,16 +44,21 @@ for a returned hypothesis or a captured BeamState.
 
 Determinism: beams are pruned by total mass with ties broken toward the
 lexicographically smaller prefix; alignment candidates tie-break toward the
-lexicographically smaller alignment. That comparison costs O(1) through a
-per-frame rank: after each frame is pruned, the surviving candidates are
-sorted by (rank of their parent cell, token) and ranked 0, 1, ... in that
-order. Every candidate alive at frame t spans t + 1 frames and no two are the
-same sequence, so for them lexicographic order is exactly the order of their
-parents and then their last token.
+lexicographically smaller alignment. Prefixes of exactly equal mass that
+reach the kept part of the beam are ordered by walking their nodes up to the
+deepest common ancestor: no step for siblings, one for a prefix and its
+extension, in general the distance to that ancestor, never more than the
+label length. Alignments compare in O(1) through a per-frame rank: after
+each frame is pruned, the surviving candidates are sorted by (rank of their
+parent cell, token) and ranked 0, 1, ... in that order. Every candidate alive
+at frame t spans t + 1 frames and no two are the same sequence, so for them
+lexicographic order is exactly the order of their parents and then their
+last token.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -52,7 +72,7 @@ from .logspace import NEG_INF, log_add, log_matrix
 # token, which sorts like the alignments; after pruning it is reset to the
 # candidate's own rank * n_tokens, ready to have the next token added. Slot
 # layout per prefix: [log_pb, log_pnb, cand_b, cand_nb, log_total], the
-# total being filled in by _prune.
+# total being filled in by _prune. A beam entry is (edge, node, slot).
 
 
 @dataclass(frozen=True)
@@ -101,6 +121,57 @@ def _alignment(cell) -> TokenSeq:
     return tuple(out)
 
 
+class _Trie:
+    """Prefix nodes of one decode: parent, last token and depth by node id."""
+
+    def __init__(self, n_tokens: int) -> None:
+        self.n_tokens = n_tokens
+        # int arrays rather than lists: no int object per entry
+        self.parent = array("i", [-1])
+        self.token = array("i", [-1])
+        self.depth = array("i", [0])
+        self.children = {-1: 0}
+
+    def node(self, edge: int) -> int:
+        """The node an edge names, allocated on first use."""
+        node = self.children.get(edge)
+        if node is None:
+            parent, token = divmod(edge, self.n_tokens)
+            node = self.children[edge] = len(self.parent)
+            self.parent.append(parent)
+            self.token.append(token)
+            self.depth.append(self.depth[parent] + 1)
+        return node
+
+    def label(self, node: int) -> TokenSeq:
+        out = []
+        while node:
+            out.append(self.token[node])
+            node = self.parent[node]
+        out.reverse()
+        return tuple(out)
+
+    def tie_keys(self, edges: list[int]) -> list[TokenSeq]:
+        """Sort keys for the distinct prefixes that ``edges`` name.
+
+        Each key is the prefix's tokens below the deepest ancestor common to
+        all of them, so the keys sort exactly like the prefixes. Only the
+        parents are walked, each up to that ancestor and each step once.
+        """
+        n, parent, token, depth = self.n_tokens, self.parent, self.token, self.depth
+        heads = {e // n if e >= 0 else 0 for e in edges}
+        tails = {head: [] for head in heads}
+        front = {head: [head] for head in heads}  # ancestor -> heads below it
+        while len(front) > 1:
+            node = max(front, key=depth.__getitem__)
+            below = front.pop(node)
+            for head in below:
+                tails[head].append(token[node])
+            front.setdefault(parent[node], []).extend(below)
+        # the empty prefix, when tied, makes the root the common ancestor
+        return [tuple(reversed(tails[e // n])) + (e % n,) if e >= 0 else () for e in edges]
+
+
 def _advance(
     slot: list, end: int, mass: float, cands: tuple, token: int, lp_token: float
 ) -> None:
@@ -124,32 +195,49 @@ def _advance(
     slot[end + 2] = best
 
 
-def _prune(slots: dict, beam_width: int, n_tokens: int) -> dict:
+def _prune(slots: dict, beam_width: int, trie: _Trie, keep_zero: bool) -> list:
     """Keep the beam_width best slots and rank their alignment candidates.
 
-    Slots are ordered by total mass descending, then prefix ascending (the
-    returned dict keeps that order). Each kept candidate's order is reset to
-    its rank among all kept candidates times n_tokens.
+    Slots are ordered by total mass descending, then prefix ascending; the
+    kept ones are returned in that order as (edge, node, slot). Zero-mass
+    slots are dropped unless ``keep_zero``. Each kept candidate's order is
+    reset to its rank among all kept candidates times n_tokens.
     """
     rows = []
-    for prefix, s in slots.items():
+    for edge, s in slots.items():
         s[4] = tot = log_add(s[0], s[1])
-        rows.append((-tot, prefix, s))
-    # prefixes are unique, so the sort never reaches the slot lists
-    rows.sort()
-    beams = {}
+        if tot != NEG_INF or keep_zero:
+            rows.append((-tot, edge, s))
+    rows.sort(key=itemgetter(0))
+    n_kept = min(len(rows), beam_width)
+    head = [r[0] for r in rows[: n_kept + 1]]
+    if len(set(head)) < len(head):
+        # exactly equal totals that reach the kept part go in prefix order
+        i = 0
+        while i < n_kept:
+            j = i + 1
+            while j < len(rows) and rows[j][0] == rows[i][0]:
+                j += 1
+            if j - i > 1:
+                run = rows[i:j]
+                keys = trie.tie_keys([r[1] for r in run])
+                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=itemgetter(0))]
+            i = j
+    beams = []
     cands = []
-    for _, prefix, s in rows[:beam_width]:
-        beams[prefix] = s
+    children = trie.children
+    for _, edge, s in rows[:n_kept]:
+        node = children.get(edge)
+        beams.append((edge, trie.node(edge) if node is None else node, s))
         if s[2] is not None:
             cands.append(s[2])
         if s[3] is not None:
             cands.append(s[3])
     cands.sort(key=itemgetter(1))
-    order = 0
+    order, step = 0, trie.n_tokens
     for c in cands:
         c[1] = order
-        order += n_tokens
+        order += step
     return beams
 
 
@@ -206,40 +294,9 @@ def extended_prefix_beam_search(
         raise ParameterError(f"beam width must be >= 1, got {beam_width}")
     if m.n_tokens != alphabet.size:
         raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
-    n_tokens = alphabet.size
-    log_rows = log_matrix(m.probs).tolist()
-    advance, NEG = _advance, NEG_INF
-
-    beams: dict[TokenSeq, list] = {(): [0.0, NEG, [0.0, 0, None], None, 0.0]}
-    for lp in log_rows:
-        lp_blank = lp[BLANK_ID]
-        slots: dict[TokenSeq, list] = {}
-        for prefix, (pb, pnb, cb, cnb, tot) in beams.items():
-            both = (cb, cnb)
-            s = slots.get(prefix)
-            if s is None:
-                slots[prefix] = s = [NEG, NEG, None, None, NEG]
-            last = prefix[-1] if prefix else -1
-            if prefix:
-                advance(s, 1, pnb, (cnb,), last, lp[last])
-            advance(s, 0, tot, both, BLANK_ID, lp_blank)
-            for c in range(1, n_tokens):
-                ext = prefix + (c,)
-                s2 = slots.get(ext)
-                if s2 is None:
-                    slots[ext] = s2 = [NEG, NEG, None, None, NEG]
-                if c == last:
-                    # extending with the last token again: only blank-ending
-                    # mass (and its candidate) can start the new event
-                    advance(s2, 1, pb, (cb,), c, lp[c])
-                else:
-                    advance(s2, 1, tot, both, c, lp[c])
-        beams = _prune(slots, beam_width, n_tokens)
-        if capture_states is not None:
-            capture_states.append(tuple(_snapshot(p, b) for p, b in beams.items()))
-
+    beams, trie = _search(log_matrix(m.probs).tolist(), alphabet.size, beam_width, capture_states)
     hypotheses = []
-    for prefix, (pb, pnb, cb, cnb, tot) in beams.items():
+    for _, node, (pb, pnb, cb, cnb, tot) in beams:
         if tot == NEG_INF:
             continue
         # a prefix with mass has a candidate for the part that holds it; the
@@ -248,10 +305,11 @@ def extended_prefix_beam_search(
             (c for c in (cb, cnb) if c is not None), key=lambda c: (c[0], -c[1])
         )
         alignment = _alignment(cell)
-        assert collapse(alignment, alphabet) == prefix
+        label = trie.label(node)
+        assert collapse(alignment, alphabet) == label
         hypotheses.append(
             Hypothesis(
-                label=prefix,
+                label=label,
                 probability=float(np.exp(tot)),
                 log_probability=tot,
                 alignment=alignment,
@@ -260,6 +318,51 @@ def extended_prefix_beam_search(
             )
         )
     return DecodeResult(tuple(hypotheses))
+
+
+def _search(
+    log_rows: list, n_tokens: int, beam_width: int, capture_states: list | None
+) -> tuple[list, _Trie]:
+    """Run the beam over ``log_rows``; the final (edge, node, slot) beams and the trie.
+
+    Slots are keyed by edge, so extending a prefix needs no trie lookup;
+    _prune turns the kept edges into nodes.
+    """
+    trie = _Trie(n_tokens)
+    last_token = trie.token
+    advance, NEG = _advance, NEG_INF
+
+    beams = [(-1, 0, [0.0, NEG, [0.0, 0, None], None, 0.0])]
+    for lp in log_rows:
+        lp_blank = lp[BLANK_ID]
+        slots: dict[int, list] = {}
+        for edge, node, (pb, pnb, cb, cnb, tot) in beams:
+            both = (cb, cnb)
+            s = slots.get(edge)
+            if s is None:
+                slots[edge] = s = [NEG, NEG, None, None, NEG]
+            last = last_token[node]
+            if node:
+                advance(s, 1, pnb, (cnb,), last, lp[last])
+            advance(s, 0, tot, both, BLANK_ID, lp_blank)
+            child = node * n_tokens
+            for c in range(1, n_tokens):
+                child += 1
+                s2 = slots.get(child)
+                if s2 is None:
+                    slots[child] = s2 = [NEG, NEG, None, None, NEG]
+                if c == last:
+                    # extending with the last token again: only blank-ending
+                    # mass (and its candidate) can start the new event
+                    advance(s2, 1, pb, (cb,), c, lp[c])
+                else:
+                    advance(s2, 1, tot, both, c, lp[c])
+        beams = _prune(slots, beam_width, trie, capture_states is not None)
+        if capture_states is not None:
+            capture_states.append(
+                tuple(_snapshot(trie.label(node), s) for _, node, s in beams)
+            )
+    return beams, trie
 
 
 def _snapshot(prefix: TokenSeq, beam) -> BeamState:

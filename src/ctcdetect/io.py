@@ -77,6 +77,13 @@ def _read_table(path, header: tuple[str, ...], *parsers) -> list[tuple]:
     return out
 
 
+def _finite(field: str) -> float:
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"{field!r} is not a finite number")
+    return value
+
+
 def _write_table(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -152,13 +159,27 @@ def write_gt_csv(path, events: list[GroundTruthEvent], alphabet: Alphabet) -> No
 
 
 def read_gt_csv(path) -> list[tuple[int, int, str]]:
-    """Ground-truth events as (start_frame, end_frame, class_name) rows."""
-    return _read_table(path, ("start_frame", "end_frame", "class"), int, int, str)
+    """Ground-truth events as (start_frame, end_frame, class_name) rows.
+
+    Each interval must run forward and no two may share a frame.
+    """
+    rows = _read_table(path, ("start_frame", "end_frame", "class"), int, int, str)
+    for lineno, (start, end, _) in enumerate(rows, start=2):
+        if start > end:
+            raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")
+    ordered = sorted(rows)
+    for prev, cur in zip(ordered, ordered[1:]):
+        if cur[0] <= prev[1]:
+            raise FormatError(
+                f"{path}: ground-truth events overlap: [{prev[0]}, {prev[1]}] "
+                f"and [{cur[0]}, {cur[1]}]"
+            )
+    return rows
 
 
 def read_velocity_csv(path) -> np.ndarray:
     """Wrist-roll angular velocity series from a ``t,roll_dps`` CSV."""
-    rows = _read_table(path, ("t", "roll_dps"), str, float)
+    rows = _read_table(path, ("t", "roll_dps"), str, _finite)
     if not rows:
         raise FormatError(f"{path}: no velocity rows")
     return np.asarray([v for _, v in rows])

@@ -237,6 +237,8 @@ def _sidecar(text):
 
 _DETECT = ["detect", "p.csv", "--output", "o.csv"]
 _EVAL = ["eval", "--detections", "d.csv", "--ground-truth", "g.csv"]
+_DETS = "frame,time_s,class\n1,0.1,E\n"
+_EVAL_FILES = {"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,E\n"}
 # later flags override these defaults
 _THRESHOLD = ["baseline", "threshold", "v.csv", "--t1", "1", "--t2", "-1", "--t3", "0",
               "--t4", "0", "--sample-rate-hz", "10", "--output", "o.csv"]
@@ -251,9 +253,16 @@ MALFORMED = [
                  id="csv-not-utf8"),
     pytest.param({"p.csv": 't,p_blank,p_E\n0,0.5,"' + "1" * 200_000 + '"\n'}, ["decode", "p.csv"],
                  EXIT_FORMAT, id="csv-field-over-limit"),
-    pytest.param({"d.csv": "frame,time_s,class\n1,0.1,E\n",
+    pytest.param({"d.csv": _DETS,
                   "g.csv": b"start_frame,end_frame,class\n0,5,E\xff\n"}, _EVAL, EXIT_FORMAT,
                  id="ground-truth-not-utf8"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n5,0,E\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-reversed"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,E\n3,8,E\n"},
+                 _EVAL, EXIT_FORMAT, id="ground-truth-overlapping"),
+    pytest.param({"v.csv": "t,roll_dps\n0,nan\n"}, _THRESHOLD, EXIT_FORMAT, id="velocity-nan"),
+    pytest.param({"v.csv": "t,roll_dps\n0,1.0\n1,-inf\n"}, _THRESHOLD, EXIT_FORMAT,
+                 id="velocity-inf"),
     pytest.param(_sidecar('{"sample_rate_hz": null}'), _DETECT, EXIT_FORMAT, id="sidecar-null"),
     pytest.param(_sidecar('{"sample_rate_hz": "fast"}'), _DETECT, EXIT_FORMAT,
                  id="sidecar-string"),
@@ -277,6 +286,12 @@ MALFORMED = [
                  id="threshold-t1-nan"),
     pytest.param({"v.csv": "t,roll_dps\n0,1.0\n"}, _THRESHOLD + ["--sample-rate-hz", "inf"],
                  EXIT_PARAMETER, id="threshold-rate-inf"),
+    pytest.param(_EVAL_FILES, _EVAL + ["--sample-rate-hz", "0"], EXIT_PARAMETER,
+                 id="eval-rate-zero"),
+    pytest.param(_EVAL_FILES, _EVAL + ["--sample-rate-hz", "nan"], EXIT_PARAMETER,
+                 id="eval-rate-nan"),
+    pytest.param(_EVAL_FILES, _EVAL + ["--sample-rate-hz", "-10"], EXIT_PARAMETER,
+                 id="eval-rate-negative"),
     pytest.param({}, ["gen", "--frames", "10", "--events", "E@5", "--sample-rate-hz", "nan",
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-rate-nan"),
 ]

@@ -12,6 +12,8 @@ from ctcdetect import (
     prefix_beam_search,
     prob_brute_force,
 )
+from ctcdetect.decode import _search
+from ctcdetect.logspace import log_matrix
 
 from conftest import D, E
 from oracles import (
@@ -250,3 +252,50 @@ class TestMatchesReference:
             got = extended_prefix_beam_search(m, ab, width)
             assert got == reference_extended_prefix_beam_search(m, ab, width)
             assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+
+    @pytest.mark.parametrize("kind", ("uniform", "tenths", "one-hot"))
+    @pytest.mark.parametrize("width", (1, 3, 10))
+    def test_long_tied_streams(self, kind, width):
+        # uniform and tenths rows tie exactly while labels grow to hundreds
+        # of tokens, so ties are decided deep in the trie; one-hot rows leave
+        # most slots at zero mass, which the search drops without states
+        rng = np.random.default_rng([width, STREAM_KINDS.index(kind), 800])
+        m = ProbMatrix(_stream(kind, rng, 800, 3))
+        ab = Alphabet(3)
+        assert extended_prefix_beam_search(m, ab, width) == reference_extended_prefix_beam_search(
+            m, ab, width
+        )
+        assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+
+    def test_pruned_prefix_comes_back_to_its_node(self):
+        # width 2: [E, D] is kept at frame 1, pruned at frame 2 while its
+        # extension [E, D, E] is kept, and extended into again at frame 3
+        m = ProbMatrix(
+            np.array([[0.4, 0.4, 0.2], [0.3, 0.3, 0.4], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]])
+        )
+        ab = Alphabet(3)
+        states, reference_states = [], []
+        got = extended_prefix_beam_search(m, ab, 2, capture_states=states)
+        assert got == reference_extended_prefix_beam_search(
+            m, ab, 2, capture_states=reference_states
+        )
+        assert states == reference_states
+        kept = [[s.prefix for s in frame] for frame in states]
+        assert (E, D) in kept[1] and (E, D) not in kept[2] and (E, D, E) in kept[2]
+        assert (E, D) in kept[3]
+        _, trie = _search(log_matrix(m.probs).tolist(), ab.size, 2, None)
+        labels = [trie.label(node) for node in range(len(trie.parent))]
+        assert labels.count((E, D)) == 1
+        assert len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_trie_holds_at_most_frames_times_width_nodes(kind):
+    rng = np.random.default_rng(STREAM_KINDS.index(kind))
+    rows = _stream(kind, rng, 500, 4)
+    for width in (1, 3, 10):
+        _, trie = _search(log_matrix(rows).tolist(), 4, width, None)
+        labels = [trie.label(node) for node in range(len(trie.parent))]
+        # one node per prefix, allocated only for a prefix that was kept
+        assert len(set(labels)) == len(labels)
+        assert len(labels) - 1 <= 500 * width

@@ -85,6 +85,18 @@ class TestGtCsv:
         write_gt_csv(path, events, worked_alphabet)
         assert read_gt_csv(path) == [(9, 11, "E"), (39, 41, "D")]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("0,5,E\n9,7,D\n", r"gt\.csv:3: event start 9 after end 7"),
+         ("20,25,E\n0,5,D\n5,8,E\n", r"overlap: \[0, 5\] and \[5, 8\]")],
+        ids=["reversed", "overlapping"],
+    )
+    def test_reversed_or_overlapping_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "gt.csv"
+        path.write_text("start_frame,end_frame,class\n" + rows)
+        with pytest.raises(FormatError, match=message):
+            read_gt_csv(path)
+
 
 class TestVelocityCsv:
     def test_reads_series(self, tmp_path):
@@ -97,4 +109,11 @@ class TestVelocityCsv:
         path = tmp_path / "gyro.csv"
         path.write_text("t,roll_dps\n")
         with pytest.raises(FormatError):
+            read_velocity_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "gyro.csv"
+        path.write_text(f"t,roll_dps\n0,1.5\n1,{value}\n")
+        with pytest.raises(FormatError, match=r"gyro\.csv:3:"):
             read_velocity_csv(path)
