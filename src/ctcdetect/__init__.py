@@ -36,7 +36,6 @@ from .ctc import (
     prob_forward,
 )
 from .decode import (
-    BeamState,
     DecodeResult,
     Hypothesis,
     extended_prefix_beam_search,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "BLANK_ID",
-    "BeamState",
     "ClassCounts",
     "CoverageError",
     "DataError",

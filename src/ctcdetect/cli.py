@@ -17,7 +17,7 @@ from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
 from .core import Alphabet, DataError, ParameterError, ProbMatrix
 from .ctc import ctc_loss, prob_brute_force, prob_forward
-from .decode import extended_prefix_beam_search, greedy_decode, prefix_beam_search
+from .decode import extended_prefix_beam_search, greedy_decode
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .synth import SyntheticScript, gen_synthetic
 from .sweep import sweep_beam_width
@@ -77,26 +77,15 @@ def _cmd_decode(args) -> int:
     payload = {"method": args.method, "beam_width": args.beam_width, "hypotheses": []}
     if args.method == "greedy":
         hyps = greedy_decode(m, alphabet).hypotheses
-    elif args.method == "beam":
-        ranked = prefix_beam_search(m, alphabet, args.beam_width)
-        for label, prob in ranked:
-            payload["hypotheses"].append(
-                {"label": _names(alphabet, label), "probability": prob}
-            )
-        _emit(args, json.dumps(payload, indent=2))
-        return EXIT_OK
     else:
         hyps = extended_prefix_beam_search(m, alphabet, args.beam_width).hypotheses
     for hyp in hyps:
-        payload["hypotheses"].append(
-            {
-                "label": _names(alphabet, hyp.label),
-                "probability": hyp.probability,
-                "log_probability": hyp.log_probability,
-                "alignment": _names(alphabet, hyp.alignment),
-                "alignment_probability": hyp.alignment_probability,
-            }
-        )
+        row = {"label": _names(alphabet, hyp.label), "probability": hyp.probability}
+        if args.method != "beam":  # plain prefix beam search reports no alignment
+            row["log_probability"] = hyp.log_probability
+            row["alignment"] = _names(alphabet, hyp.alignment)
+            row["alignment_probability"] = hyp.alignment_probability
+        payload["hypotheses"].append(row)
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -7,6 +7,7 @@ collapse()     -- merge repeated tokens, then drop blanks: the mapping from a
                   frame-level alignment to its event label sequence.
 validate_prob_matrix() -- checked (optionally renormalizing) constructor for
                   ProbMatrix from raw rows.
+check_alphabet() -- a matrix and an alphabet agree on the token count.
 DataError      -- base of the errors about malformed outside data (CLI exit 4).
 
 Alignments and label sequences are plain tuples of token ids throughout the
@@ -195,6 +196,12 @@ def validate_prob_matrix(
             )
         arr = arr / sums[:, None]
     return ProbMatrix(arr, sample_rate_hz)
+
+
+def check_alphabet(m: ProbMatrix, alphabet: Alphabet) -> None:
+    """Raise ParameterError unless ``m`` has one column per alphabet token."""
+    if m.n_tokens != alphabet.size:
+        raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
 
 
 def collapse(tokens, alphabet: Alphabet) -> TokenSeq:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BLANK_ID, Alphabet, InvalidTokenError, ProbMatrix, TokenSeq, collapse
+from .core import BLANK_ID, Alphabet, InvalidTokenError, ProbMatrix, TokenSeq, check_alphabet
 from .logspace import NEG_INF, log_add, log_matrix, log_sum
 
 #: Enumeration guards: the oracle refuses inputs beyond this scale.
@@ -121,12 +121,11 @@ def prob_brute_force(m: ProbMatrix, label, alphabet: Alphabet) -> float:
 
     Returns 0.0 when no alignment exists. Subject to the oracle scale guard.
     """
+    check_alphabet(m, alphabet)
     label = _check_label(label, alphabet)
     _check_oracle_scale(m.frames, alphabet.size)
     rows = _matching_alignments_array(label, m.frames, alphabet.size)
-    if rows.shape[0] == 0:
-        return 0.0
-    return float(np.exp(log_sum(_alignment_log_probs(m, rows))))
+    return float(np.exp(log_sum(_alignment_log_probs(m, rows))))  # log_sum of none is log 0
 
 
 def best_alignment_brute_force(
@@ -138,6 +137,7 @@ def best_alignment_brute_force(
     enumeration is lexicographic and argmax keeps the first maximum).
     Raises NoAlignmentError when the label cannot be embedded at all.
     """
+    check_alphabet(m, alphabet)
     label = _check_label(label, alphabet)
     _check_oracle_scale(m.frames, alphabet.size)
     rows = _matching_alignments_array(label, m.frames, alphabet.size)
@@ -156,6 +156,7 @@ def log_prob_forward(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     state whose label differs from the one two back) from two states back --
     the last rule is what forbids silently merging equal adjacent labels.
     """
+    check_alphabet(m, alphabet)
     label = _check_label(label, alphabet)
     log_p = log_matrix(m.probs)
     t_total = m.frames

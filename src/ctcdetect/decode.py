@@ -30,17 +30,20 @@ edge, so extending a prefix costs O(1) whatever the label length. Pruning
 allocates a node only for a kept edge that has none, so the trie holds at
 most frames x beam_width nodes beside the root, and a pruned prefix that
 comes back finds its old node: one prefix is one node, so merges stay exact.
-Label tuples are built only for returned hypotheses and captured BeamStates.
+Label tuples are built only for returned hypotheses.
 
-A zero-mass beam entry (a probability of exactly 0 gives log 0) passes on
-only zero mass and zero-probability alignments, which change no other slot,
-and zero-mass labels are not returned, so pruning drops zero-mass slots;
-with ``capture_states`` they are kept, so the snapshots show the whole beam.
+Nothing of probability 0 (log 0) is carried: a move by a token of
+probability exactly 0 passes on neither mass nor an alignment, so a part of
+a slot holds an alignment candidate exactly when it holds mass, and pruning
+drops zero-mass slots. The beam only ever holds prefixes with mass.
 
 Alignment candidates: the best alignment ending in blank and the best ending
 in non-blank are kept per entry as backpointer cells (parent cell, token), so
 appending a frame is O(1). A cell is turned back into a token sequence only
-for a returned hypothesis or a captured BeamState.
+for a returned hypothesis.
+
+The search is online: the beam after frame t is the final beam of a search
+over the first t frames.
 
 Determinism: beams are pruned by total mass with ties broken toward the
 lexicographically smaller prefix; alignment candidates tie-break toward the
@@ -64,7 +67,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, collapse
+from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet, collapse
 from .logspace import NEG_INF, log_add, log_matrix
 
 # A cell is (parent_cell | None, token). A candidate is [log_probability,
@@ -73,22 +76,6 @@ from .logspace import NEG_INF, log_add, log_matrix
 # candidate's own rank * n_tokens, ready to have the next token added. Slot
 # layout per prefix: [log_pb, log_pnb, cand_b, cand_nb, log_total], the
 # total being filled in by _prune. A beam entry is (edge, node, slot).
-
-
-@dataclass(frozen=True)
-class BeamState:
-    """Snapshot of one beam entry after a frame has been resolved.
-
-    alignment_b / alignment_nb are (alignment, probability) for the best
-    candidate ending in blank / non-blank, or None where no such alignment
-    exists yet.
-    """
-
-    prefix: TokenSeq
-    p_b: float
-    p_nb: float
-    alignment_b: tuple[TokenSeq, float] | None
-    alignment_nb: tuple[TokenSeq, float] | None
 
 
 @dataclass(frozen=True)
@@ -132,15 +119,13 @@ class _Trie:
         self.depth = array("i", [0])
         self.children = {-1: 0}
 
-    def node(self, edge: int) -> int:
-        """The node an edge names, allocated on first use."""
-        node = self.children.get(edge)
-        if node is None:
-            parent, token = divmod(edge, self.n_tokens)
-            node = self.children[edge] = len(self.parent)
-            self.parent.append(parent)
-            self.token.append(token)
-            self.depth.append(self.depth[parent] + 1)
+    def add(self, edge: int) -> int:
+        """Allocate the node for an edge that has none."""
+        parent, token = divmod(edge, self.n_tokens)
+        node = self.children[edge] = len(self.parent)
+        self.parent.append(parent)
+        self.token.append(token)
+        self.depth.append(self.depth[parent] + 1)
         return node
 
     def label(self, node: int) -> TokenSeq:
@@ -180,12 +165,14 @@ def _advance(
     ``end`` is 0 for the blank-ending part of the slot and 1 for the
     non-blank-ending part. The more probable candidate wins; equal
     log-probabilities go to the lexicographically smaller alignment, which is
-    the smaller order.
+    the smaller order. Nothing moves at probability 0, so a part of a slot
+    holds a candidate exactly when it holds mass.
     """
-    if mass != NEG_INF:
-        v = mass + lp_token
-        cur = slot[end]
-        slot[end] = v if cur == NEG_INF else log_add(cur, v)
+    v = mass + lp_token
+    if v == NEG_INF:
+        return
+    cur = slot[end]
+    slot[end] = v if cur == NEG_INF else log_add(cur, v)
     best = slot[end + 2]
     for cand in cands:
         if cand is not None:
@@ -195,18 +182,18 @@ def _advance(
     slot[end + 2] = best
 
 
-def _prune(slots: dict, beam_width: int, trie: _Trie, keep_zero: bool) -> list:
-    """Keep the beam_width best slots and rank their alignment candidates.
+def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
+    """Keep the beam_width best slots with mass and rank their alignment candidates.
 
     Slots are ordered by total mass descending, then prefix ascending; the
     kept ones are returned in that order as (edge, node, slot). Zero-mass
-    slots are dropped unless ``keep_zero``. Each kept candidate's order is
-    reset to its rank among all kept candidates times n_tokens.
+    slots are dropped. Each kept candidate's order is reset to its rank
+    among all kept candidates times n_tokens.
     """
     rows = []
     for edge, s in slots.items():
         s[4] = tot = log_add(s[0], s[1])
-        if tot != NEG_INF or keep_zero:
+        if tot != NEG_INF:
             rows.append((-tot, edge, s))
     rows.sort(key=itemgetter(0))
     n_kept = min(len(rows), beam_width)
@@ -228,7 +215,7 @@ def _prune(slots: dict, beam_width: int, trie: _Trie, keep_zero: bool) -> list:
     children = trie.children
     for _, edge, s in rows[:n_kept]:
         node = children.get(edge)
-        beams.append((edge, trie.node(edge) if node is None else node, s))
+        beams.append((edge, trie.add(edge) if node is None else node, s))
         if s[2] is not None:
             cands.append(s[2])
         if s[3] is not None:
@@ -248,8 +235,7 @@ def greedy_decode(m: ProbMatrix, alphabet: Alphabet) -> DecodeResult:
     The reported total probability is the alignment's own product; greedy
     considers exactly one alignment.
     """
-    if m.n_tokens != alphabet.size:
-        raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
+    check_alphabet(m, alphabet)
     picks = np.argmax(m.probs, axis=1)
     alignment = tuple(int(t) for t in picks)
     log_p = float(log_matrix(m.probs)[np.arange(m.frames), picks].sum())
@@ -274,10 +260,7 @@ def prefix_beam_search(
 
 
 def extended_prefix_beam_search(
-    m: ProbMatrix,
-    alphabet: Alphabet,
-    beam_width: int,
-    capture_states: list | None = None,
+    m: ProbMatrix, alphabet: Alphabet, beam_width: int
 ) -> DecodeResult:
     """Prefix beam search that also recovers the best alignment per label.
 
@@ -286,21 +269,15 @@ def extended_prefix_beam_search(
     the same repeat / blank / extend cases as the mass and are resolved to one
     winner per entry at each frame. The returned alignment for a hypothesis is
     the better of its two candidates.
-
-    When ``capture_states`` is a list, a tuple of BeamState snapshots is
-    appended per frame (after pruning and candidate resolution).
     """
     if beam_width < 1:
         raise ParameterError(f"beam width must be >= 1, got {beam_width}")
-    if m.n_tokens != alphabet.size:
-        raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
-    beams, trie = _search(log_matrix(m.probs).tolist(), alphabet.size, beam_width, capture_states)
+    check_alphabet(m, alphabet)
+    beams, trie = _search(log_matrix(m.probs).tolist(), alphabet.size, beam_width)
     hypotheses = []
     for _, node, (pb, pnb, cb, cnb, tot) in beams:
-        if tot == NEG_INF:
-            continue
-        # a prefix with mass has a candidate for the part that holds it; the
-        # better of the two wins, equal ones go to the smaller order
+        # every kept prefix has mass, so it has a candidate for the part that
+        # holds it; the better of the two wins, equal ones go to the smaller order
         logp_align, _, cell = max(
             (c for c in (cb, cnb) if c is not None), key=lambda c: (c[0], -c[1])
         )
@@ -320,9 +297,7 @@ def extended_prefix_beam_search(
     return DecodeResult(tuple(hypotheses))
 
 
-def _search(
-    log_rows: list, n_tokens: int, beam_width: int, capture_states: list | None
-) -> tuple[list, _Trie]:
+def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie]:
     """Run the beam over ``log_rows``; the final (edge, node, slot) beams and the trie.
 
     Slots are keyed by edge, so extending a prefix needs no trie lookup;
@@ -357,20 +332,5 @@ def _search(
                     advance(s2, 1, pb, (cb,), c, lp[c])
                 else:
                     advance(s2, 1, tot, both, c, lp[c])
-        beams = _prune(slots, beam_width, trie, capture_states is not None)
-        if capture_states is not None:
-            capture_states.append(
-                tuple(_snapshot(trie.label(node), s) for _, node, s in beams)
-            )
+        beams = _prune(slots, beam_width, trie)
     return beams, trie
-
-
-def _snapshot(prefix: TokenSeq, beam) -> BeamState:
-    pb, pnb, cb, cnb, _ = beam
-    return BeamState(
-        prefix=prefix,
-        p_b=float(np.exp(pb)),
-        p_nb=float(np.exp(pnb)),
-        alignment_b=None if cb is None else (_alignment(cb[2]), float(np.exp(cb[0]))),
-        alignment_nb=None if cnb is None else (_alignment(cnb[2]), float(np.exp(cnb[0]))),
-    )

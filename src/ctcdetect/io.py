@@ -77,6 +77,13 @@ def _read_table(path, header: tuple[str, ...], *parsers) -> list[tuple]:
     return out
 
 
+def _frame(field: str) -> int:
+    value = int(field)
+    if value < 0:
+        raise ValueError(f"frame {value} is negative")
+    return value
+
+
 def _finite(field: str) -> float:
     value = float(field)
     if not math.isfinite(value):
@@ -147,7 +154,7 @@ def write_detections_csv(path, detections: list[Detection], alphabet: Alphabet) 
 
 def read_detections_csv(path) -> list[tuple[int, float, str]]:
     """Detections as (frame, time_s, class_name) rows, in file order."""
-    return _read_table(path, ("frame", "time_s", "class"), int, float, str)
+    return _read_table(path, ("frame", "time_s", "class"), _frame, _finite, str)
 
 
 def write_gt_csv(path, events: list[GroundTruthEvent], alphabet: Alphabet) -> None:
@@ -163,7 +170,7 @@ def read_gt_csv(path) -> list[tuple[int, int, str]]:
 
     Each interval must run forward and no two may share a frame.
     """
-    rows = _read_table(path, ("start_frame", "end_frame", "class"), int, int, str)
+    rows = _read_table(path, ("start_frame", "end_frame", "class"), _frame, _frame, str)
     for lineno, (start, end, _) in enumerate(rows, start=2):
         if start > end:
             raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq
+from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
 from .decode import extended_prefix_beam_search
 
 DECODE_METHODS = ("greedy", "extended-beam")
@@ -94,7 +94,8 @@ def majority_vote(
     Each frame takes the token voted by the most windows covering it. A frame
     whose lead is shared (including a class tied with blank) falls back to
     blank: disagreeing windows should not fabricate an event. Raises
-    CoverageError if any frame has no vote.
+    CoverageError if any frame has no vote and InvalidTokenError for a token
+    outside the alphabet.
     """
     counts = np.zeros((total_frames, alphabet.size), dtype=np.int64)
     for start, tokens in alignments:
@@ -103,6 +104,9 @@ def majority_vote(
             raise ParameterError(
                 f"alignment at {start} (+{idx.size}) falls outside {total_frames} frames"
             )
+        bad = idx[(idx < 0) | (idx >= alphabet.size)]
+        if bad.size:
+            alphabet.validate_token(int(bad[0]))  # raises InvalidTokenError
         counts[np.arange(start, start + idx.size), idx] += 1
     uncovered = np.flatnonzero(counts.sum(axis=1) == 0)
     if uncovered.size:
@@ -153,9 +157,8 @@ def detect_pipeline(
     """
     if method not in DECODE_METHODS:
         raise ParameterError(f"method must be one of {DECODE_METHODS}, got {method!r}")
+    check_alphabet(m, alphabet)
     if method == "greedy":
-        if m.n_tokens != alphabet.size:
-            raise ParameterError(f"matrix has {m.n_tokens} tokens, alphabet {alphabet.size}")
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
     aligned = []
     for start, window in slide_windows(m, spec):

@@ -12,9 +12,11 @@ probabilities, alignments and tie-breaks, bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ctcdetect import BeamState, DecodeResult, Hypothesis
+from ctcdetect import DecodeResult, Hypothesis
 from ctcdetect.core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, collapse
 from ctcdetect.logspace import NEG_INF, log_add, log_matrix
 
@@ -83,6 +85,22 @@ def random_confident(
 
 
 # --- frozen reference beam decoders -----------------------------------------
+
+@dataclass(frozen=True)
+class BeamState:
+    """Snapshot of one beam entry after a frame has been resolved.
+
+    alignment_b / alignment_nb are (alignment, probability) for the best
+    candidate ending in blank / non-blank, or None where no such alignment
+    exists yet.
+    """
+
+    prefix: TokenSeq
+    p_b: float
+    p_nb: float
+    alignment_b: tuple[TokenSeq, float] | None
+    alignment_nb: tuple[TokenSeq, float] | None
+
 
 # An alignment chain cell is (parent_cell | None, token); a candidate is
 # (log_probability, chain). Slot layout per prefix while a frame is being

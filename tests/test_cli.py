@@ -238,7 +238,8 @@ def _sidecar(text):
 _DETECT = ["detect", "p.csv", "--output", "o.csv"]
 _EVAL = ["eval", "--detections", "d.csv", "--ground-truth", "g.csv"]
 _DETS = "frame,time_s,class\n1,0.1,E\n"
-_EVAL_FILES = {"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,E\n"}
+_GT = "start_frame,end_frame,class\n0,5,E\n"
+_EVAL_FILES = {"d.csv": _DETS, "g.csv": _GT}
 # later flags override these defaults
 _THRESHOLD = ["baseline", "threshold", "v.csv", "--t1", "1", "--t2", "-1", "--t3", "0",
               "--t4", "0", "--sample-rate-hz", "10", "--output", "o.csv"]
@@ -260,6 +261,17 @@ MALFORMED = [
                  EXIT_FORMAT, id="ground-truth-reversed"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,E\n3,8,E\n"},
                  _EVAL, EXIT_FORMAT, id="ground-truth-overlapping"),
+    pytest.param({"d.csv": "frame,time_s,class\n-4,0.1,E\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-frame-negative"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,nan,E\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-time-nan"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,inf,E\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-time-inf"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n-5,3,E\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-frame-negative"),
+    pytest.param({"d.csv": "frame,time_s,class\n-4,nan,E\n",
+                  "g.csv": "start_frame,end_frame,class\n-5,-3,E\n"}, _EVAL, EXIT_FORMAT,
+                 id="negative-frames-and-nan-time"),
     pytest.param({"v.csv": "t,roll_dps\n0,nan\n"}, _THRESHOLD, EXIT_FORMAT, id="velocity-nan"),
     pytest.param({"v.csv": "t,roll_dps\n0,1.0\n1,-inf\n"}, _THRESHOLD, EXIT_FORMAT,
                  id="velocity-inf"),

@@ -7,11 +7,21 @@ from ctcdetect import (
     NormalizationError,
     ParameterError,
     ProbMatrix,
+    WindowSpec,
+    best_alignment_brute_force,
     collapse,
+    ctc_loss,
+    detect_pipeline,
+    extended_prefix_beam_search,
+    greedy_decode,
+    log_prob_forward,
+    prefix_beam_search,
+    prob_brute_force,
+    prob_forward,
     validate_prob_matrix,
 )
 
-from conftest import D, E
+from conftest import D, E, WORKED_ROWS
 
 
 class TestAlphabet:
@@ -128,3 +138,30 @@ class TestProbMatrix:
     def test_bad_sample_rate(self):
         with pytest.raises(ParameterError):
             ProbMatrix(np.array([[0.5, 0.5]]), sample_rate_hz=0.0)
+
+
+SPEC = WindowSpec(window_frames=4, stride_frames=2, sample_rate_hz=1.0)
+
+# Every library function that takes a matrix and an alphabet, with the label
+# (the alphabet's last class) or other arguments it needs.
+MATRIX_AND_ALPHABET = {
+    "log_prob_forward": lambda m, ab: log_prob_forward(m, (ab.size - 1,), ab),
+    "prob_forward": lambda m, ab: prob_forward(m, (ab.size - 1,), ab),
+    "ctc_loss": lambda m, ab: ctc_loss(m, (ab.size - 1,), ab),
+    "prob_brute_force": lambda m, ab: prob_brute_force(m, (ab.size - 1,), ab),
+    "best_alignment_brute_force": lambda m, ab: best_alignment_brute_force(m, (ab.size - 1,), ab),
+    "greedy_decode": greedy_decode,
+    "prefix_beam_search": lambda m, ab: prefix_beam_search(m, ab, 3),
+    "extended_prefix_beam_search": lambda m, ab: extended_prefix_beam_search(m, ab, 3),
+    "detect_pipeline-greedy": lambda m, ab: detect_pipeline(m, SPEC, ab, method="greedy"),
+    "detect_pipeline-extended-beam": lambda m, ab: detect_pipeline(m, SPEC, ab),
+}
+
+
+@pytest.mark.parametrize("size", (2, 4), ids=("alphabet-smaller", "alphabet-larger"))
+@pytest.mark.parametrize("call", list(MATRIX_AND_ALPHABET.values()), ids=list(MATRIX_AND_ALPHABET))
+def test_matrix_and_alphabet_must_agree(call, size):
+    m = ProbMatrix(WORKED_ROWS)  # three tokens
+    call(m, Alphabet(3))  # an agreeing alphabet is accepted
+    with pytest.raises(ParameterError, match="matrix has 3 tokens, alphabet"):
+        call(m, Alphabet(size))

@@ -12,11 +12,12 @@ from ctcdetect import (
     prefix_beam_search,
     prob_brute_force,
 )
-from ctcdetect.decode import _search
+from ctcdetect.decode import _alignment, _search
 from ctcdetect.logspace import log_matrix
 
 from conftest import D, E
 from oracles import (
+    BeamState,
     brute_argmax_label,
     brute_label_probs,
     random_confident,
@@ -26,6 +27,48 @@ from oracles import (
 )
 
 EXHAUSTIVE = 10_000
+
+
+def _candidate(cand) -> tuple | None:
+    return None if cand is None else (_alignment(cand[2]), float(np.exp(cand[0])))
+
+
+def search_states(m: ProbMatrix, width: int) -> list[tuple[BeamState, ...]]:
+    """The search's beam after every frame, as BeamStates.
+
+    The search is online: the beam after frame t is the final beam of a
+    search over the first t frames.
+    """
+    rows = log_matrix(m.probs).tolist()
+    states = []
+    for t in range(1, len(rows) + 1):
+        beams, trie = _search(rows[:t], m.n_tokens, width)
+        states.append(
+            tuple(
+                BeamState(trie.label(node), float(np.exp(pb)), float(np.exp(pnb)),
+                          _candidate(cb), _candidate(cnb))
+                for _, node, (pb, pnb, cb, cnb, _) in beams
+            )
+        )
+    return states
+
+
+def assert_states_match(states: list, reference_states: list) -> None:
+    """Per frame, the search's beam is the reference's without its zero-mass entries.
+
+    The reference keeps zero-mass entries and zero-probability alignments;
+    the search carries nothing of probability 0, so where the reference holds
+    a zero-probability candidate the search holds None.
+    """
+    assert len(states) == len(reference_states)
+    for got_frame, ref_frame in zip(states, reference_states):
+        ref_frame = [s for s in ref_frame if s.p_b or s.p_nb]
+        assert [(s.prefix, s.p_b, s.p_nb) for s in got_frame] == [
+            (s.prefix, s.p_b, s.p_nb) for s in ref_frame
+        ]
+        for got, ref in zip(got_frame, ref_frame):
+            for g, r in ((got.alignment_b, ref.alignment_b), (got.alignment_nb, ref.alignment_nb)):
+                assert g == r or (g is None and r[1] == 0.0)
 
 
 class TestGreedy:
@@ -187,8 +230,7 @@ class TestExtendedPrefixBeamSearch:
 
 class TestBeamStateInvariants:
     def test_per_frame_state_consistency(self, worked_matrix, worked_alphabet):
-        states: list = []
-        extended_prefix_beam_search(worked_matrix, worked_alphabet, 4, capture_states=states)
+        states = search_states(worked_matrix, 4)
         assert len(states) == worked_matrix.frames
         for frame_no, frame_states in enumerate(states, start=1):
             assert 1 <= len(frame_states) <= 4
@@ -234,13 +276,13 @@ class TestMatchesReference:
             n_tokens = int(rng.integers(2, 5))
             ab = Alphabet(n_tokens)
             m = ProbMatrix(_stream(kind, rng, int(rng.integers(1, 30)), n_tokens))
-            states, reference_states = [], []
-            got = extended_prefix_beam_search(m, ab, width, capture_states=states)
+            reference_states = []
+            got = extended_prefix_beam_search(m, ab, width)
             want = reference_extended_prefix_beam_search(
                 m, ab, width, capture_states=reference_states
             )
             assert got == want
-            assert states == reference_states
+            assert_states_match(search_states(m, width), reference_states)
             assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
 
     @pytest.mark.parametrize("kind", STREAM_KINDS)
@@ -274,16 +316,17 @@ class TestMatchesReference:
             np.array([[0.4, 0.4, 0.2], [0.3, 0.3, 0.4], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]])
         )
         ab = Alphabet(3)
-        states, reference_states = [], []
-        got = extended_prefix_beam_search(m, ab, 2, capture_states=states)
+        reference_states = []
+        got = extended_prefix_beam_search(m, ab, 2)
         assert got == reference_extended_prefix_beam_search(
             m, ab, 2, capture_states=reference_states
         )
-        assert states == reference_states
+        states = search_states(m, 2)
+        assert_states_match(states, reference_states)
         kept = [[s.prefix for s in frame] for frame in states]
         assert (E, D) in kept[1] and (E, D) not in kept[2] and (E, D, E) in kept[2]
         assert (E, D) in kept[3]
-        _, trie = _search(log_matrix(m.probs).tolist(), ab.size, 2, None)
+        _, trie = _search(log_matrix(m.probs).tolist(), ab.size, 2)
         labels = [trie.label(node) for node in range(len(trie.parent))]
         assert labels.count((E, D)) == 1
         assert len(set(labels)) == len(labels)
@@ -294,7 +337,7 @@ def test_trie_holds_at_most_frames_times_width_nodes(kind):
     rng = np.random.default_rng(STREAM_KINDS.index(kind))
     rows = _stream(kind, rng, 500, 4)
     for width in (1, 3, 10):
-        _, trie = _search(log_matrix(rows).tolist(), 4, width, None)
+        _, trie = _search(log_matrix(rows).tolist(), 4, width)
         labels = [trie.label(node) for node in range(len(trie.parent))]
         # one node per prefix, allocated only for a prefix that was kept
         assert len(set(labels)) == len(labels)

@@ -77,6 +77,13 @@ class TestDetectionCsv:
         with pytest.raises(FormatError):
             read_detections_csv(path)
 
+    @pytest.mark.parametrize("row", ["-4,0.1,E", "4,nan,E", "4,inf,E", "4,-inf,E"])
+    def test_negative_frame_or_non_finite_time_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "dets.csv"
+        path.write_text(f"frame,time_s,class\n1,0.1,E\n{row}\n")
+        with pytest.raises(FormatError, match=r"dets\.csv:3:"):
+            read_detections_csv(path)
+
 
 class TestGtCsv:
     def test_round_trip(self, tmp_path, worked_alphabet):
@@ -88,8 +95,10 @@ class TestGtCsv:
     @pytest.mark.parametrize(
         "rows, message",
         [("0,5,E\n9,7,D\n", r"gt\.csv:3: event start 9 after end 7"),
-         ("20,25,E\n0,5,D\n5,8,E\n", r"overlap: \[0, 5\] and \[5, 8\]")],
-        ids=["reversed", "overlapping"],
+         ("20,25,E\n0,5,D\n5,8,E\n", r"overlap: \[0, 5\] and \[5, 8\]"),
+         ("9,11,E\n-5,3,E\n", r"gt\.csv:3: frame -5 is negative"),
+         ("9,11,E\n-5,-3,D\n", r"gt\.csv:3: frame -5 is negative")],
+        ids=["reversed", "overlapping", "negative-start", "negative-interval"],
     )
     def test_reversed_or_overlapping_rejected(self, tmp_path, rows, message):
         path = tmp_path / "gt.csv"

@@ -5,6 +5,7 @@ from ctcdetect import (
     Alphabet,
     CoverageError,
     Detection,
+    InvalidTokenError,
     ParameterError,
     ProbMatrix,
     WindowSpec,
@@ -106,6 +107,12 @@ class TestMajorityVote:
         tokens = (E, E, 0, D)
         voted = majority_vote([(0, tokens)], 4, worked_alphabet)
         assert tuple(voted.tolist()) == tokens
+
+    @pytest.mark.parametrize("token", (-1, 3))
+    def test_token_outside_alphabet_raises(self, worked_alphabet, token):
+        # -1 would index the last class and 3 past the end of the count matrix
+        with pytest.raises(InvalidTokenError):
+            majority_vote([(0, (token, 0))], 2, worked_alphabet)
 
     def test_uncovered_frame_raises(self, worked_alphabet):
         with pytest.raises(CoverageError):
