@@ -17,7 +17,7 @@ from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
 from .core import Alphabet, DataError, ParameterError, ProbMatrix
 from .ctc import ctc_loss, prob_brute_force, prob_forward
-from .decode import extended_prefix_beam_search, greedy_decode
+from .decode import check_beam_width, extended_prefix_beam_search, greedy_decode
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .synth import SyntheticScript, gen_synthetic
 from .sweep import sweep_beam_width
@@ -74,6 +74,7 @@ def _emit(args, text: str) -> None:
 
 def _cmd_decode(args) -> int:
     m, alphabet = _load_probs(args, require_rate=False)
+    check_beam_width(args.beam_width)
     payload = {"method": args.method, "beam_width": args.beam_width, "hypotheses": []}
     if args.method == "greedy":
         hyps = greedy_decode(m, alphabet).hypotheses
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True, help="detections CSV")
     p.add_argument("--ground-truth", required=True, help="ground-truth CSV")
     p.add_argument("--sample-rate-hz", type=float, default=1.0,
-                   help="frames per second, for detection times only")
+                   help="frames per second; stamps detection times only, not scores")
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_eval)
 

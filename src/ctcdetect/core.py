@@ -76,14 +76,6 @@ class Alphabet:
             if len(set(names)) != len(names):
                 raise ParameterError("class names must be unique")
 
-    @property
-    def blank_id(self) -> int:
-        return BLANK_ID
-
-    @property
-    def n_classes(self) -> int:
-        return self.size - 1
-
     def validate_token(self, token: int) -> None:
         if not 0 <= token < self.size:
             raise InvalidTokenError(f"token {token} outside alphabet of size {self.size}")
@@ -154,10 +146,6 @@ class ProbMatrix:
     @property
     def n_tokens(self) -> int:
         return self.probs.shape[1]
-
-    @property
-    def duration_s(self) -> float:
-        return self.frames / self.sample_rate_hz
 
     def window(self, start: int, stop: int) -> "ProbMatrix":
         """Frame slice ``[start, stop)`` as a read-only view with the same rate.

@@ -99,6 +99,12 @@ class DecodeResult:
         return self.hypotheses[0]
 
 
+def check_beam_width(beam_width: int) -> None:
+    """Raise ParameterError unless the beam keeps at least one prefix."""
+    if beam_width < 1:
+        raise ParameterError(f"beam width must be >= 1, got {beam_width}")
+
+
 def _alignment(cell) -> TokenSeq:
     out = []
     while cell is not None:
@@ -270,8 +276,7 @@ def extended_prefix_beam_search(
     winner per entry at each frame. The returned alignment for a hypothesis is
     the better of its two candidates.
     """
-    if beam_width < 1:
-        raise ParameterError(f"beam width must be >= 1, got {beam_width}")
+    check_beam_width(beam_width)
     check_alphabet(m, alphabet)
     beams, trie = _search(log_matrix(m.probs).tolist(), alphabet.size, beam_width)
     hypotheses = []

@@ -62,7 +62,7 @@ class ClassCounts:
 
 @dataclass
 class EvalCounts:
-    """Per-class match counts; merge two recordings' counts with ``merge``."""
+    """Per-class match counts, keyed by class id."""
 
     per_class: dict[int, ClassCounts] = field(default_factory=dict)
 
@@ -75,12 +75,6 @@ class EvalCounts:
         for cls in selected:
             out = out + self.per_class.get(cls, ClassCounts())
         return out
-
-    def merge(self, other: "EvalCounts") -> "EvalCounts":
-        merged = EvalCounts({cls: ClassCounts() + c for cls, c in self.per_class.items()})
-        for cls, c in other.per_class.items():
-            merged.per_class[cls] = merged.per_class.get(cls, ClassCounts()) + c
-        return merged
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,9 @@ class SyntheticScript:
             if cls < 1:
                 raise ScriptError(f"event class ids must be >= 1, got {cls}")
 
-    @property
-    def extent_frames(self) -> int:
-        return self.spike_width_frames if self.mode == "spiky" else self.block_extent_frames
-
     def extents(self) -> list[tuple[int, int, int]]:
         """(class_id, first_frame, last_frame) per event, validated."""
-        width = self.extent_frames
+        width = self.spike_width_frames if self.mode == "spiky" else self.block_extent_frames
         out = []
         for cls, apex in self.events:
             lo = apex - (width - 1) // 2

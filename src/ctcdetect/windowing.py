@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
-from .decode import extended_prefix_beam_search
+from .decode import check_beam_width, extended_prefix_beam_search
 
 DECODE_METHODS = ("greedy", "extended-beam")
 
@@ -30,7 +30,6 @@ class WindowSpec:
 
     window_frames: int
     stride_frames: int
-    sample_rate_hz: float
 
     def __post_init__(self) -> None:
         if self.window_frames < 1:
@@ -39,8 +38,6 @@ class WindowSpec:
             raise ParameterError(
                 f"stride must be in [1, window] frames, got {self.stride_frames}"
             )
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ParameterError(f"sample rate must be in (0, inf), got {self.sample_rate_hz}")
 
     @classmethod
     def from_seconds(
@@ -48,11 +45,11 @@ class WindowSpec:
     ) -> "WindowSpec":
         """Build a spec from seconds; stride defaults to half the window."""
         frames = [x * sample_rate_hz for x in (window_s, stride_s) if x is not None]
-        if not all(0 < f < math.inf for f in frames):
-            raise ParameterError(f"window/stride frames must be positive and finite, got {frames}")
+        if not all(0 < f < math.inf for f in (sample_rate_hz, *frames)):
+            raise ParameterError(f"rate {sample_rate_hz} and frames {frames} must be > 0 and finite")
         window = max(1, round(frames[0]))
         stride = window // 2 if stride_s is None else round(frames[1])
-        return cls(window, max(1, stride), sample_rate_hz)
+        return cls(window, max(1, stride))
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,7 @@ def detect_pipeline(
     """
     if method not in DECODE_METHODS:
         raise ParameterError(f"method must be one of {DECODE_METHODS}, got {method!r}")
+    check_beam_width(beam_width)
     check_alphabet(m, alphabet)
     if method == "greedy":
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)

@@ -288,6 +288,10 @@ MALFORMED = [
     pytest.param(_RATED, ["decode", "p.csv", "--sample-rate-hz", "nan"], EXIT_PARAMETER,
                  id="rate-nan"),
     pytest.param(_RATED, _DETECT + ["--sample-rate-hz", "inf"], EXIT_PARAMETER, id="rate-inf"),
+    pytest.param(_RATED, ["decode", "p.csv", "--method", "greedy", "--beam-width", "-5"],
+                 EXIT_PARAMETER, id="greedy-decode-width-negative"),
+    pytest.param(_RATED, _DETECT + ["--method", "greedy", "--beam-width", "0"], EXIT_PARAMETER,
+                 id="greedy-detect-width-zero"),
     pytest.param(_RATED, _DETECT + ["--window-s", "inf"], EXIT_PARAMETER, id="window-inf"),
     pytest.param(_RATED, _DETECT + ["--stride-s", "inf"], EXIT_PARAMETER, id="stride-inf"),
     pytest.param(_RATED, _DETECT + ["--window-s", "0"], EXIT_PARAMETER, id="window-zero"),

@@ -113,13 +113,6 @@ class TestEvaluate:
             d_base.fn,
         )
 
-    def test_counts_merge_by_addition(self):
-        a = evaluate(FIXTURE_DETS, FIXTURE_TRUTH)
-        b = evaluate([], FIXTURE_TRUTH)
-        merged = a.merge(b)
-        assert merged.per_class[E].fn == a.per_class[E].fn + b.per_class[E].fn
-        assert merged.per_class[E].tp == a.per_class[E].tp
-
 
 class TestPrf1:
     def test_fixture_scores(self):

@@ -29,6 +29,8 @@ class TestSweepBeamWidth:
     def test_zero_width_rejected(self, worked_matrix, worked_alphabet):
         with pytest.raises(ParameterError):
             sweep_beam_width(worked_matrix, worked_alphabet, (0,))
+        with pytest.raises(ParameterError):
+            sweep_beam_width(worked_matrix, worked_alphabet, ())
 
     def test_f1_scored_against_truth(self, worked_alphabet):
         script = SyntheticScript(total_frames=100, events=((E, 20), (D, 60)))

@@ -28,11 +28,20 @@ def _uniform_matrix(n_frames: int, rate: float = 1.0) -> ProbMatrix:
 class TestWindowSpec:
     def test_invalid_geometry(self):
         with pytest.raises(ParameterError):
-            WindowSpec(0, 1, 1.0)
+            WindowSpec(0, 1)
         with pytest.raises(ParameterError):
-            WindowSpec(8, 9, 1.0)
+            WindowSpec(8, 9)
         with pytest.raises(ParameterError):
-            WindowSpec(8, 0, 1.0)
+            WindowSpec(8, 0)
+
+    # -8 s at -1 Hz is a positive frame count, but the rate is still negative
+    @pytest.mark.parametrize(
+        "window_s, rate",
+        [(8.0, 0.0), (8.0, -1.0), (8.0, float("nan")), (8.0, float("inf")), (-8.0, -1.0)],
+    )
+    def test_from_seconds_rejects_bad_rate(self, window_s, rate):
+        with pytest.raises(ParameterError):
+            WindowSpec.from_seconds(window_s, rate)
 
     def test_from_seconds_defaults_to_half_stride(self):
         spec = WindowSpec.from_seconds(8.0, 64.0)
@@ -42,15 +51,15 @@ class TestWindowSpec:
 
 class TestSlideWindows:
     def test_stride_grid_lands_on_end(self):
-        starts = [s for s, _ in slide_windows(_uniform_matrix(20), WindowSpec(8, 4, 1.0))]
+        starts = [s for s, _ in slide_windows(_uniform_matrix(20), WindowSpec(8, 4))]
         assert starts == [0, 4, 8, 12]
 
     def test_final_window_anchored_to_last_frame(self):
-        starts = [s for s, _ in slide_windows(_uniform_matrix(10), WindowSpec(8, 4, 1.0))]
+        starts = [s for s, _ in slide_windows(_uniform_matrix(10), WindowSpec(8, 4))]
         assert starts == [0, 2]
 
     def test_short_recording_single_window(self):
-        windows = slide_windows(_uniform_matrix(5), WindowSpec(8, 4, 1.0))
+        windows = slide_windows(_uniform_matrix(5), WindowSpec(8, 4))
         assert len(windows) == 1
         assert windows[0][0] == 0
         assert windows[0][1].frames == 5
@@ -63,7 +72,7 @@ class TestSlideWindows:
             stride = int(rng.integers(1, window + 1))
             m = _uniform_matrix(total)
             covered = np.zeros(total, dtype=int)
-            for start, w in slide_windows(m, WindowSpec(window, stride, 1.0)):
+            for start, w in slide_windows(m, WindowSpec(window, stride)):
                 covered[start : start + w.frames] += 1
             assert (covered >= 1).all()
 
@@ -76,7 +85,7 @@ class TestSlideWindows:
             stride = int(rng.integers(1, window + 1))
             total = int(rng.integers(3 * window, 6 * window))
             covered = np.zeros(total, dtype=int)
-            for start, w in slide_windows(_uniform_matrix(total), WindowSpec(window, stride, 1.0)):
+            for start, w in slide_windows(_uniform_matrix(total), WindowSpec(window, stride)):
                 covered[start : start + w.frames] += 1
             need = -(-window // stride) - 1
             interior = covered[window : total - window]
@@ -198,7 +207,7 @@ class TestDetectPipeline:
             weights = rng.integers(1, 4, size=(int(rng.integers(1, 60)), n_tokens))
             m = ProbMatrix(weights / weights.sum(axis=1, keepdims=True), 10.0)
             window = int(rng.integers(1, 20))
-            spec = WindowSpec(window, int(rng.integers(1, window + 1)), 10.0)
+            spec = WindowSpec(window, int(rng.integers(1, window + 1)))
             aligned = [
                 (start, greedy_decode(w, ab).top.alignment) for start, w in slide_windows(m, spec)
             ]
@@ -208,12 +217,14 @@ class TestDetectPipeline:
     def test_greedy_checks_alphabet(self):
         m = _uniform_matrix(10)
         with pytest.raises(ParameterError):
-            detect_pipeline(m, WindowSpec(4, 2, 1.0), Alphabet(4), method="greedy")
+            detect_pipeline(m, WindowSpec(4, 2), Alphabet(4), method="greedy")
 
     def test_unknown_method_rejected(self, worked_alphabet):
         m = _uniform_matrix(10)
         with pytest.raises(ParameterError):
-            detect_pipeline(m, WindowSpec(4, 2, 1.0), worked_alphabet, method="viterbi")
+            detect_pipeline(m, WindowSpec(4, 2), worked_alphabet, method="viterbi")
+        with pytest.raises(ParameterError):
+            detect_pipeline(m, WindowSpec(4, 2), worked_alphabet, method="greedy", beam_width=0)
 
     def test_deterministic(self, worked_alphabet):
         script = SyntheticScript(
