@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, InvalidTokenError, ProbMatrix, TokenSeq, check_alphabet
-from .logspace import NEG_INF, log_add, log_matrix, log_sum
+from .logspace import NEG_INF, log_matrix, log_sum
 
 #: Enumeration guards: the oracle refuses inputs beyond this scale.
 MAX_ORACLE_FRAMES = 16
@@ -151,51 +151,35 @@ def best_alignment_brute_force(
 def log_prob_forward(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     """Log-probability of the label via the forward pass.
 
-    Runs over the blank-augmented state sequence blank,y1,blank,y2,...,blank.
-    A state may be entered from itself, its predecessor, or (for a non-blank
-    state whose label differs from the one two back) from two states back --
-    the last rule is what forbids silently merging equal adjacent labels.
+    Runs over the blank-augmented state sequence blank,y1,blank,y2,...,blank
+    (Graves et al. 2006). A state may be entered from itself, its predecessor,
+    or (for a non-blank state whose label differs from the one two back) from
+    two states back -- the last rule is what forbids silently merging equal
+    adjacent labels. Alignments end in the last two states (the one state of an empty label).
     """
     check_alphabet(m, alphabet)
     label = _check_label(label, alphabet)
     log_p = log_matrix(m.probs)
-    t_total = m.frames
-    if len(label) == 0:
-        return float(log_p[:, BLANK_ID].sum())
     aug = np.empty(2 * len(label) + 1, dtype=np.int64)
     aug[0::2] = BLANK_ID
     aug[1::2] = label
-    n_states = aug.size
-    can_skip = np.zeros(n_states, dtype=bool)
-    can_skip[3::2] = aug[3::2] != aug[1:-2:2]
+    skip = np.flatnonzero(aug[2:] != aug[:-2]) + 2
 
-    alpha = np.full(n_states, NEG_INF)
-    alpha[0] = log_p[0, BLANK_ID]
-    alpha[1] = log_p[0, aug[1]]
-    shifted = np.empty(n_states)
-    skipped = np.empty(n_states)
-    for t in range(1, t_total):
-        shifted[0] = NEG_INF
-        shifted[1:] = alpha[:-1]
-        skipped[:2] = NEG_INF
-        skipped[2:] = alpha[:-2]
-        skipped[~can_skip] = NEG_INF
-        stacked = np.stack((alpha, shifted, skipped))
-        hi = stacked.max(axis=0)
-        with np.errstate(invalid="ignore"):
-            merged = hi + np.log(np.exp(stacked - hi).sum(axis=0))
-        merged[hi == NEG_INF] = NEG_INF
-        alpha = merged + log_p[t, aug]
-    return log_add(float(alpha[-1]), float(alpha[-2]))
+    alpha = np.full(aug.size, NEG_INF)
+    alpha[:2] = log_p[0, aug[:2]]
+    for t in range(1, m.frames):
+        prev = alpha.copy()
+        alpha[1:] = np.logaddexp(alpha[1:], prev[:-1])
+        alpha[skip] = np.logaddexp(alpha[skip], prev[skip - 2])
+        alpha += log_p[t, aug]
+    return float(np.logaddexp.reduce(alpha[-2:]))
 
 
 def prob_forward(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     """Probability of the label via the forward pass; 0.0 when impossible."""
-    lp = log_prob_forward(m, label, alphabet)
-    return float(np.exp(lp)) if lp != NEG_INF else 0.0
+    return float(np.exp(log_prob_forward(m, label, alphabet)))
 
 
 def ctc_loss(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     """Negative log-probability of the label; +inf when the label is impossible."""
-    lp = log_prob_forward(m, label, alphabet)
-    return float("inf") if lp == NEG_INF else -lp
+    return -log_prob_forward(m, label, alphabet)

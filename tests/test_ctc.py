@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ctcdetect import (
     collapse,
     ctc_loss,
     enumerate_alignments,
+    log_prob_forward,
     prob_brute_force,
     prob_forward,
 )
@@ -140,6 +142,55 @@ class TestCtcLoss:
     def test_impossible_label_is_infinite(self, worked_alphabet):
         m = ProbMatrix(np.array([[0.3, 0.5, 0.2]]))
         assert ctc_loss(m, (E, D), worked_alphabet) == math.inf
+
+
+class TestForwardOnLongStreams:
+    """Beyond oracle scale: 2048 uniform frames, where the answers are closed-form."""
+
+    @pytest.fixture(scope="class")
+    def uniform(self):
+        return ProbMatrix(np.full((2048, 3), 1.0 / 3.0))
+
+    def test_empty_label_is_all_blank(self, uniform, worked_alphabet):
+        assert log_prob_forward(uniform, (), worked_alphabet) == pytest.approx(
+            2048 * math.log(1.0 / 3.0), rel=1e-12
+        )
+
+    def test_repeats_fill_the_stream_at_capacity(self, uniform, worked_alphabet):
+        # n equal events need n frames plus n - 1 separating blanks: 1024 fit, 1025 do not
+        assert math.isfinite(log_prob_forward(uniform, (E,) * 1024, worked_alphabet))
+        assert log_prob_forward(uniform, (E,) * 1025, worked_alphabet) == -math.inf
+        assert prob_forward(uniform, (E,) * 1025, worked_alphabet) == 0.0
+        assert ctc_loss(uniform, (E,) * 1025, worked_alphabet) == math.inf
+
+    def test_alternating_label_one_token_per_frame(self, uniform, worked_alphabet):
+        assert math.isfinite(log_prob_forward(uniform, (E, D) * 1024, worked_alphabet))
+        assert log_prob_forward(uniform, (E, D) * 1024 + (E,), worked_alphabet) == -math.inf
+
+
+class TestForwardRaisesNoWarning:
+    """One-hot rows put -inf everywhere off the path; no nan may appear on the way."""
+
+    @pytest.mark.parametrize(
+        "path, label, expected",
+        [
+            ((E, E, 0, E, D, D, 0, 0), (E, E, D), 0.0),
+            ((E, E, 0, E, D, D, 0, 0), (E, D), -math.inf),
+            ((E, E, 0, E, D, D, 0, 0), (), -math.inf),
+            ((E, E, 0, E, D, D, 0, 0), (E,) * 5, -math.inf),
+            ((0, 0, 0), (), 0.0),
+            ((0, 0, 0), (E, E), -math.inf),
+        ],
+    )
+    def test_one_hot_rows(self, path, label, expected, worked_alphabet):
+        rows = np.zeros((len(path), 3))
+        rows[np.arange(len(path)), path] = 1.0
+        m = ProbMatrix(rows)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert log_prob_forward(m, label, worked_alphabet) == expected
+            assert prob_forward(m, label, worked_alphabet) == math.exp(expected)
+            assert ctc_loss(m, label, worked_alphabet) == -expected
 
 
 class TestBestAlignment:
