@@ -13,10 +13,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
 from .core import Alphabet, DataError, ParameterError, ProbMatrix
-from .ctc import ctc_loss, prob_brute_force, prob_forward
+from .ctc import log_prob_forward, prob_brute_force
 from .decode import check_beam_width, extended_prefix_beam_search, greedy_decode
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .synth import SyntheticScript, gen_synthetic
@@ -104,12 +106,9 @@ def _cmd_detect(args) -> int:
 def _cmd_loss(args) -> int:
     m, alphabet = _load_probs(args, require_rate=False)
     label = tuple(alphabet.id_of(name.strip()) for name in args.label.split(",") if name.strip())
-    prob = prob_forward(m, label, alphabet)
-    payload = {
-        "label": _names(alphabet, label),
-        "probability": prob,
-        "loss": ctc_loss(m, label, alphabet),
-    }
+    log_prob = log_prob_forward(m, label, alphabet)
+    prob = float(np.exp(log_prob))
+    payload = {"label": _names(alphabet, label), "probability": prob, "loss": -log_prob}
     if args.oracle:
         oracle = prob_brute_force(m, label, alphabet)
         payload["oracle_probability"] = oracle

@@ -25,6 +25,9 @@ import numpy as np
 #: Token id reserved for the blank ("no event") symbol.
 BLANK_ID = 0
 
+#: Display name of the blank; no class may take it or the empty name.
+BLANK_NAME = "_"
+
 #: Strict absolute tolerance on row sums of a probability matrix.
 ROW_SUM_ATOL = 1e-6
 
@@ -75,6 +78,8 @@ class Alphabet:
                 )
             if len(set(names)) != len(names):
                 raise ParameterError("class names must be unique")
+            if "" in names or BLANK_NAME in names:
+                raise ParameterError(f"class names must be non-empty and not {BLANK_NAME!r}")
 
     def validate_token(self, token: int) -> None:
         if not 0 <= token < self.size:
@@ -84,7 +89,7 @@ class Alphabet:
         """Display name of a token ('_' for blank, 'C<k>' without names)."""
         self.validate_token(token)
         if token == BLANK_ID:
-            return "_"
+            return BLANK_NAME
         if self.class_names is not None:
             return self.class_names[token - 1]
         return f"C{token}"

@@ -74,25 +74,14 @@ def _matching_alignments_array(label: TokenSeq, n_frames: int, n_tokens: int) ->
         rows = np.stack(
             np.unravel_index(np.arange(lo, hi, dtype=np.int64), shape), axis=1
         )
-        nonblank = rows != BLANK_ID
-        head = nonblank.copy()
+        head = rows != BLANK_ID
         head[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-        counts = head.sum(axis=1)
-        cand = counts == n_lab
-        if not cand.any():
-            continue
+        cand = head.sum(axis=1) == n_lab
         rows = rows[cand]
-        head = head[cand]
-        if n_lab == 0:
-            matches.append(rows)
-            continue
-        spelled = rows[head].reshape(-1, n_lab)
-        rows = rows[(spelled == lab).all(axis=1)]
-        if rows.size:
-            matches.append(rows)
-    if not matches:
-        return np.empty((0, n_frames), dtype=np.int64)
-    return np.concatenate(matches, axis=0)
+        # an empty label compares (k, 0) arrays, which are all equal
+        spelled = rows[head[cand]].reshape(len(rows), n_lab)
+        matches.append(rows[(spelled == lab).all(axis=1)])
+    return np.concatenate(matches)
 
 
 def enumerate_alignments(label, n_frames: int, alphabet: Alphabet) -> list[TokenSeq]:
@@ -111,9 +100,8 @@ def enumerate_alignments(label, n_frames: int, alphabet: Alphabet) -> list[Token
 
 def _alignment_log_probs(m: ProbMatrix, rows: np.ndarray) -> np.ndarray:
     log_p = log_matrix(m.probs)
-    frame_idx = np.arange(m.frames)
-    with np.errstate(invalid="ignore"):
-        return log_p[frame_idx, rows].sum(axis=1)
+    # summands lie in [-inf, 0], so no sum is -inf + inf
+    return log_p[np.arange(m.frames), rows].sum(axis=1)
 
 
 def prob_brute_force(m: ProbMatrix, label, alphabet: Alphabet) -> float:

@@ -23,19 +23,20 @@ the repeat would collapse into the previous event rather than start a new one.
 All mass bookkeeping is in natural-log space.
 
 Prefix nodes: a prefix is a node of a trie built per decode, which stores
-each node's parent, last token and depth; node 0 is the empty prefix. A
-prefix is also named by its edge, parent * n_tokens + token (-1 for the empty
-prefix), and a ``children`` map takes an edge to its node. Slots are keyed by
-edge, so extending a prefix costs O(1) whatever the label length. Pruning
-allocates a node only for a kept edge that has none, so the trie holds at
-most frames x beam_width nodes beside the root, and a pruned prefix that
-comes back finds its old node: one prefix is one node, so merges stay exact.
-Label tuples are built only for returned hypotheses.
+each node's parent and last token; node 0 is the empty prefix. A prefix is
+also named by its edge, parent * n_tokens + token (-1 for the empty prefix),
+and a ``children`` map takes an edge to its node. Slots are keyed by edge, so
+extending a prefix costs O(1) whatever the label length. Pruning allocates a
+node only for a kept edge that has none, so the trie holds at most frames x
+beam_width nodes beside the root, and a pruned prefix that comes back finds
+its old node: one prefix is one node, so merges stay exact. Label tuples are
+built only for returned hypotheses.
 
 Nothing of probability 0 (log 0) is carried: a move by a token of
-probability exactly 0 passes on neither mass nor an alignment, so a part of
-a slot holds an alignment candidate exactly when it holds mass, and pruning
-drops zero-mass slots. The beam only ever holds prefixes with mass.
+probability exactly 0 passes on neither mass nor an alignment, and a slot is
+made only when mass reaches it. So a part of a slot holds an alignment
+candidate exactly when it holds mass, and the beam only ever holds prefixes
+with mass.
 
 Alignment candidates: the best alignment ending in blank and the best ending
 in non-blank are kept per entry as backpointer cells (parent cell, token), so
@@ -115,14 +116,17 @@ def _alignment(cell) -> TokenSeq:
 
 
 class _Trie:
-    """Prefix nodes of one decode: parent, last token and depth by node id."""
+    """Prefix nodes of one decode: parent and last token by node id.
+
+    A node is appended after its parent, so ids grow down every path. The
+    root, node 0, is the empty prefix; its token is the blank.
+    """
 
     def __init__(self, n_tokens: int) -> None:
         self.n_tokens = n_tokens
         # int arrays rather than lists: no int object per entry
         self.parent = array("i", [-1])
-        self.token = array("i", [-1])
-        self.depth = array("i", [0])
+        self.token = array("i", [BLANK_ID])
         self.children = {-1: 0}
 
     def add(self, edge: int) -> int:
@@ -131,7 +135,6 @@ class _Trie:
         node = self.children[edge] = len(self.parent)
         self.parent.append(parent)
         self.token.append(token)
-        self.depth.append(self.depth[parent] + 1)
         return node
 
     def label(self, node: int) -> TokenSeq:
@@ -149,12 +152,12 @@ class _Trie:
         all of them, so the keys sort exactly like the prefixes. Only the
         parents are walked, each up to that ancestor and each step once.
         """
-        n, parent, token, depth = self.n_tokens, self.parent, self.token, self.depth
+        n, parent, token = self.n_tokens, self.parent, self.token
         heads = {e // n if e >= 0 else 0 for e in edges}
         tails = {head: [] for head in heads}
         front = {head: [head] for head in heads}  # ancestor -> heads below it
         while len(front) > 1:
-            node = max(front, key=depth.__getitem__)
+            node = max(front)  # ids grow down paths: no front node's ancestor
             below = front.pop(node)
             for head in below:
                 tails[head].append(token[node])
@@ -164,19 +167,22 @@ class _Trie:
 
 
 def _advance(
-    slot: list, end: int, mass: float, cands: tuple, token: int, lp_token: float
+    slots: dict, key: int, end: int, mass: float, cands: tuple, token: int, lp_token: float
 ) -> None:
-    """Move mass and alignment candidates one frame into ``slot`` by ``token``.
+    """Move mass and alignment candidates one frame into ``slots[key]`` by ``token``.
 
     ``end`` is 0 for the blank-ending part of the slot and 1 for the
     non-blank-ending part. The more probable candidate wins; equal
     log-probabilities go to the lexicographically smaller alignment, which is
-    the smaller order. Nothing moves at probability 0, so a part of a slot
-    holds a candidate exactly when it holds mass.
+    the smaller order. Nothing moves at probability 0 and a slot is made only
+    when mass reaches it, so a part holds a candidate exactly when it holds mass.
     """
     v = mass + lp_token
     if v == NEG_INF:
         return
+    slot = slots.get(key)
+    if slot is None:
+        slots[key] = slot = [NEG_INF, NEG_INF, None, None, NEG_INF]
     cur = slot[end]
     slot[end] = v if cur == NEG_INF else log_add(cur, v)
     best = slot[end + 2]
@@ -189,18 +195,17 @@ def _advance(
 
 
 def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
-    """Keep the beam_width best slots with mass and rank their alignment candidates.
+    """Keep the beam_width best slots and rank their alignment candidates.
 
     Slots are ordered by total mass descending, then prefix ascending; the
-    kept ones are returned in that order as (edge, node, slot). Zero-mass
-    slots are dropped. Each kept candidate's order is reset to its rank
-    among all kept candidates times n_tokens.
+    kept ones are returned in that order as (edge, node, slot). Each kept
+    candidate's order is reset to its rank among all kept candidates times
+    n_tokens.
     """
     rows = []
     for edge, s in slots.items():
         s[4] = tot = log_add(s[0], s[1])
-        if tot != NEG_INF:
-            rows.append((-tot, edge, s))
+        rows.append((-tot, edge, s))
     rows.sort(key=itemgetter(0))
     n_kept = min(len(rows), beam_width)
     head = [r[0] for r in rows[: n_kept + 1]]
@@ -310,32 +315,26 @@ def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie
     """
     trie = _Trie(n_tokens)
     last_token = trie.token
-    advance, NEG = _advance, NEG_INF
+    advance = _advance
 
-    beams = [(-1, 0, [0.0, NEG, [0.0, 0, None], None, 0.0])]
+    beams = [(-1, 0, [0.0, NEG_INF, [0.0, 0, None], None, 0.0])]
     for lp in log_rows:
         lp_blank = lp[BLANK_ID]
         slots: dict[int, list] = {}
         for edge, node, (pb, pnb, cb, cnb, tot) in beams:
             both = (cb, cnb)
-            s = slots.get(edge)
-            if s is None:
-                slots[edge] = s = [NEG, NEG, None, None, NEG]
             last = last_token[node]
-            if node:
-                advance(s, 1, pnb, (cnb,), last, lp[last])
-            advance(s, 0, tot, both, BLANK_ID, lp_blank)
+            # the root (token blank) has no non-blank mass: its repeat moves nothing
+            advance(slots, edge, 1, pnb, (cnb,), last, lp[last])
+            advance(slots, edge, 0, tot, both, BLANK_ID, lp_blank)
             child = node * n_tokens
             for c in range(1, n_tokens):
                 child += 1
-                s2 = slots.get(child)
-                if s2 is None:
-                    slots[child] = s2 = [NEG, NEG, None, None, NEG]
                 if c == last:
                     # extending with the last token again: only blank-ending
                     # mass (and its candidate) can start the new event
-                    advance(s2, 1, pb, (cb,), c, lp[c])
+                    advance(slots, child, 1, pb, (cb,), c, lp[c])
                 else:
-                    advance(s2, 1, tot, both, c, lp[c])
+                    advance(slots, child, 1, tot, both, c, lp[c])
         beams = _prune(slots, beam_width, trie)
     return beams, trie

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Alphabet, DataError, ProbMatrix, validate_prob_matrix
+from .core import BLANK_NAME, Alphabet, DataError, ProbMatrix, validate_prob_matrix
 from .evaluation import GroundTruthEvent
 from .windowing import Detection
 
@@ -91,6 +91,12 @@ def _finite(field: str) -> float:
     return value
 
 
+def _class(field: str) -> str:
+    if field in ("", BLANK_NAME):
+        raise ValueError(f"class name {field!r} is empty or the blank's name")
+    return field
+
+
 def _write_table(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -123,8 +129,8 @@ def read_prob_csv(
             )
         names = []
         for col in header[2:]:
-            if not col.startswith("p_") or col[2:] in names:
-                raise FormatError(f"{path}: bad or repeated probability column {col!r}")
+            if not col.startswith("p_") or col[2:] in ("", BLANK_NAME, *names):
+                raise FormatError(f"{path}: bad, reserved or repeated probability column {col!r}")
             names.append(col[2:])
         values = array("d")
         for lineno, row in enumerate(reader, start=2):
@@ -154,7 +160,7 @@ def write_detections_csv(path, detections: list[Detection], alphabet: Alphabet) 
 
 def read_detections_csv(path) -> list[tuple[int, float, str]]:
     """Detections as (frame, time_s, class_name) rows, in file order."""
-    return _read_table(path, ("frame", "time_s", "class"), _frame, _finite, str)
+    return _read_table(path, ("frame", "time_s", "class"), _frame, _finite, _class)
 
 
 def write_gt_csv(path, events: list[GroundTruthEvent], alphabet: Alphabet) -> None:
@@ -170,7 +176,7 @@ def read_gt_csv(path) -> list[tuple[int, int, str]]:
 
     Each interval must run forward and no two may share a frame.
     """
-    rows = _read_table(path, ("start_frame", "end_frame", "class"), _frame, _frame, str)
+    rows = _read_table(path, ("start_frame", "end_frame", "class"), _frame, _frame, _class)
     for lineno, (start, end, _) in enumerate(rows, start=2):
         if start > end:
             raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")

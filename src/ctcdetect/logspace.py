@@ -28,9 +28,7 @@ def log_add(a: float, b: float) -> float:
 def log_sum(values: np.ndarray) -> float:
     """log of the sum of exp(values) over a 1-D array."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return NEG_INF
-    hi = float(np.max(values))
+    hi = float(np.max(values, initial=NEG_INF))
     if hi == NEG_INF:
         return NEG_INF
     return hi + float(np.log(np.sum(np.exp(values - hi))))

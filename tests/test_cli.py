@@ -61,6 +61,14 @@ class TestDecodeCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "alignment" not in payload["hypotheses"][0]
 
+    def test_output_file_matches_stdout(self, worked_csv, tmp_path, capsys):
+        assert main(["decode", str(worked_csv)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / "decode.json"
+        assert main(["decode", str(worked_csv), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
     def test_bad_beam_width(self, worked_csv):
         assert main(["decode", str(worked_csv), "--beam-width", "0"]) == EXIT_PARAMETER
 
@@ -86,6 +94,12 @@ class TestLossCommand:
         assert payload["probability"] == pytest.approx(0.1305, abs=5e-4)
         assert payload["loss"] == pytest.approx(2.0365, abs=4e-3)
         assert payload["oracle_abs_diff"] < 1e-12
+
+    def test_impossible_label(self, worked_csv, capsys):
+        # five equal events need nine frames; the worked stream has eight
+        assert main(["loss", str(worked_csv), "--label", "E,E,E,E,E"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert '"probability": 0.0' in out and '"loss": Infinity' in out
 
     def test_unknown_class_is_format_error(self, worked_csv):
         assert main(["loss", str(worked_csv), "--label", "X"]) == EXIT_FORMAT
@@ -250,6 +264,26 @@ MALFORMED = [
                  id="probability-above-one"),
     pytest.param({"p.csv": "t,p_blank,p_E,p_E\n0,0.5,0.25,0.25\n"}, ["decode", "p.csv"],
                  EXIT_FORMAT, id="repeated-class-column"),
+    pytest.param({"p.csv": "t,p_blank,p__\n0,0.5,0.5\n1,0.5,0.5\n"}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="class-column-named-blank"),
+    pytest.param({"p.csv": "t,p_blank,p_\n0,0.5,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="class-column-name-empty"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5\n1,1.0\n"}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="probability-row-short"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5,0.0\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="probability-row-long"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="probability-header-only"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,0.4\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-row-short"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,0.4,_\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-class-named-blank"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,0.4,\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
+                 id="detection-class-empty"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,_\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-class-named-blank"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-class-empty"),
     pytest.param({"p.csv": b"t,p_blank,p_E\n0,0.5\xff,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="csv-not-utf8"),
     pytest.param({"p.csv": 't,p_blank,p_E\n0,0.5,"' + "1" * 200_000 + '"\n'}, ["decode", "p.csv"],
@@ -310,6 +344,12 @@ MALFORMED = [
                  id="eval-rate-negative"),
     pytest.param({}, ["gen", "--frames", "10", "--events", "E@5", "--sample-rate-hz", "nan",
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-rate-nan"),
+    pytest.param({}, ["gen", "--frames", "10", "--events", "_@5", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-event-class-named-blank"),
+    pytest.param({}, ["gen", "--frames", "10", "--events", "@5", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-event-class-empty"),
+    pytest.param({}, ["gen", "--frames", "10", "--classes", "E,_", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-class-named-blank"),
 ]
 
 

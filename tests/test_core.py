@@ -38,6 +38,12 @@ class TestAlphabet:
         with pytest.raises(ParameterError):
             Alphabet(3, class_names=("only-one",))
 
+    @pytest.mark.parametrize("name", ["_", ""])
+    def test_blank_or_empty_class_name_rejected(self, name):
+        # "_" is the blank's display name; an empty name cannot be told apart
+        with pytest.raises(ParameterError):
+            Alphabet.from_names(("E", name))
+
     def test_name_round_trip(self):
         ab = Alphabet.from_names(("eat", "drink"))
         assert ab.size == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctcdetect import (
+    BLANK_ID,
     Alphabet,
     ParameterError,
     ProbMatrix,
@@ -342,3 +343,6 @@ def test_trie_holds_at_most_frames_times_width_nodes(kind):
         # one node per prefix, allocated only for a prefix that was kept
         assert len(set(labels)) == len(labels)
         assert len(labels) - 1 <= 500 * width
+        # the tie walk relies on ids growing down every path and a blank root
+        assert all(trie.parent[i] < i for i in range(len(labels)))
+        assert trie.token[0] == BLANK_ID
