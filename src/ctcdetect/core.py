@@ -37,6 +37,15 @@ ROW_SUM_RENORM_ATOL = 1e-3
 TokenSeq = tuple[int, ...]
 
 
+def is_class_name(name: str) -> bool:
+    """Whether a class may take ``name``.
+
+    It must be non-empty, not the blank's name, and hold no comma: commas
+    separate the names of ``loss --label`` and the fields of ``sweep`` rows.
+    """
+    return name not in ("", BLANK_NAME) and "," not in name
+
+
 class DataError(ValueError):
     """Outside data (a file's contents, a class name) is malformed."""
 
@@ -78,8 +87,10 @@ class Alphabet:
                 )
             if len(set(names)) != len(names):
                 raise ParameterError("class names must be unique")
-            if "" in names or BLANK_NAME in names:
-                raise ParameterError(f"class names must be non-empty and not {BLANK_NAME!r}")
+            if not all(map(is_class_name, names)):
+                raise ParameterError(
+                    f"class names must be non-empty, not {BLANK_NAME!r} and hold no comma"
+                )
 
     def validate_token(self, token: int) -> None:
         if not 0 <= token < self.size:

@@ -14,11 +14,25 @@ extended search's hypotheses.
 
 Each beam entry keeps two probabilities: p_b, the mass of alignments for the
 prefix that end in blank, and p_nb, the mass ending in the prefix's last
-token. Per frame each surviving prefix is advanced three ways -- repeat the
-last token, append a blank, append a class token (which extends the prefix) --
-and entries landing on the same prefix merge by summing. Appending a token
-equal to the prefix's last one only draws on p_b: without a separating blank
-the repeat would collapse into the previous event rather than start a new one.
+token. Each frame takes three steps:
+
+1. Mass moves. Every surviving prefix is advanced three ways -- repeat the
+   last token, append a blank, append a class token (which extends the
+   prefix) -- and moves landing on the same prefix merge by summing into one
+   slot. Appending a token equal to the prefix's last one only draws on p_b:
+   without a separating blank the repeat would collapse into the previous
+   event rather than start a new one. A slot records where its mass came
+   from: its own entry (blank and repeat) and its parent's (extension).
+2. Prune. The beam_width slots of highest total mass are kept.
+3. Candidates. The kept slots alone get their alignment candidates, built
+   from the recorded sources; the candidates never decide what is kept.
+
+The merge order of step 1 cannot change a bit: a slot's blank part has one
+source, its own entry; its non-blank part has at most two, its own repeat
+and its parent's extension, since one prefix has one parent; and two
+log-probabilities add the same either way round. Among the candidates
+competing for one part, no two share an order (see Determinism), so the
+winner does not depend on the order they are compared in either.
 
 All mass bookkeeping is in natural-log space.
 
@@ -76,7 +90,10 @@ from .logspace import NEG_INF, log_add, log_matrix
 # token, which sorts like the alignments; after pruning it is reset to the
 # candidate's own rank * n_tokens, ready to have the next token added. Slot
 # layout per prefix: [log_pb, log_pnb, cand_b, cand_nb, log_total], the
-# total being filled in by _prune. A beam entry is (edge, node, slot).
+# total being filled in by _prune. While a frame's mass moves, the two
+# candidate fields hold the sources instead: the slot of the prefix's own
+# entry and that of its parent's entry, each None if it moved no mass here.
+# A beam entry is (edge, node, slot).
 
 
 @dataclass(frozen=True)
@@ -124,9 +141,10 @@ class _Trie:
 
     def __init__(self, n_tokens: int) -> None:
         self.n_tokens = n_tokens
-        # int arrays rather than lists: no int object per entry
+        # parents in an int array: no int object per entry; tokens are small
+        # ints, which Python shares, and a list reads faster on the hot path
         self.parent = array("i", [-1])
-        self.token = array("i", [BLANK_ID])
+        self.token = [BLANK_ID]
         self.children = {-1: 0}
 
     def add(self, edge: int) -> int:
@@ -166,50 +184,18 @@ class _Trie:
         return [tuple(reversed(tails[e // n])) + (e % n,) if e >= 0 else () for e in edges]
 
 
-def _advance(
-    slots: dict, key: int, end: int, mass: float, cands: tuple, token: int, lp_token: float
-) -> None:
-    """Move mass and alignment candidates one frame into ``slots[key]`` by ``token``.
-
-    ``end`` is 0 for the blank-ending part of the slot and 1 for the
-    non-blank-ending part. The more probable candidate wins; equal
-    log-probabilities go to the lexicographically smaller alignment, which is
-    the smaller order. Nothing moves at probability 0 and a slot is made only
-    when mass reaches it, so a part holds a candidate exactly when it holds mass.
-    """
-    v = mass + lp_token
-    if v == NEG_INF:
-        return
-    slot = slots.get(key)
-    if slot is None:
-        slots[key] = slot = [NEG_INF, NEG_INF, None, None, NEG_INF]
-    cur = slot[end]
-    slot[end] = v if cur == NEG_INF else log_add(cur, v)
-    best = slot[end + 2]
-    for cand in cands:
-        if cand is not None:
-            logp = cand[0] + lp_token
-            if best is None or logp > best[0] or (logp == best[0] and cand[1] + token < best[1]):
-                best = [logp, cand[1] + token, (cand[2], token)]
-    slot[end + 2] = best
-
-
 def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
-    """Keep the beam_width best slots and rank their alignment candidates.
+    """Keep the beam_width best slots by mass.
 
     Slots are ordered by total mass descending, then prefix ascending; the
-    kept ones are returned in that order as (edge, node, slot). Each kept
-    candidate's order is reset to its rank among all kept candidates times
-    n_tokens.
+    kept ones are returned in that order as (edge, node, slot).
     """
-    rows = []
-    for edge, s in slots.items():
-        s[4] = tot = log_add(s[0], s[1])
-        rows.append((-tot, edge, s))
-    rows.sort(key=itemgetter(0))
+    first = itemgetter(0)
+    rows = [(-log_add(s[0], s[1]), edge, s) for edge, s in slots.items()]
+    rows.sort(key=first)
     n_kept = min(len(rows), beam_width)
-    head = [r[0] for r in rows[: n_kept + 1]]
-    if len(set(head)) < len(head):
+    head = rows[: n_kept + 1]
+    if len(set(map(first, head))) < len(head):
         # exactly equal totals that reach the kept part go in prefix order
         i = 0
         while i < n_kept:
@@ -219,24 +205,68 @@ def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
             if j - i > 1:
                 run = rows[i:j]
                 keys = trie.tie_keys([r[1] for r in run])
-                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=itemgetter(0))]
+                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=first)]
             i = j
-    beams = []
-    cands = []
     children = trie.children
-    for _, edge, s in rows[:n_kept]:
+    beams = []
+    for neg_tot, edge, s in rows[:n_kept]:
+        s[4] = -neg_tot
         node = children.get(edge)
         beams.append((edge, trie.add(edge) if node is None else node, s))
-        if s[2] is not None:
-            cands.append(s[2])
-        if s[3] is not None:
-            cands.append(s[3])
-    cands.sort(key=itemgetter(1))
-    order, step = 0, trie.n_tokens
-    for c in cands:
-        c[1] = order
-        order += step
     return beams
+
+
+def _pick(a, b, lp_token: float):
+    """The better of candidates ``a`` and ``b`` once moved by a token of ``lp_token``.
+
+    The more probable wins; equal log-probabilities go to the
+    lexicographically smaller alignment, which is the smaller order. None
+    stands for a part without mass and loses to any candidate.
+    """
+    if a is None:
+        return b
+    if b is None:
+        return a
+    la, lb = a[0] + lp_token, b[0] + lp_token
+    return a if la > lb or (la == lb and a[1] < b[1]) else b
+
+
+def _candidates(beams: list, lp: list, trie: _Trie) -> None:
+    """Build the alignment candidates of the kept slots, then rank them.
+
+    A kept slot's two source fields are replaced by its blank-ending and
+    non-blank-ending candidates; a part holds one exactly when it holds mass.
+    Each candidate's order is then reset to its rank among all kept
+    candidates times n_tokens.
+    """
+    n, last_token = trie.n_tokens, trie.token
+    lp_blank = lp[BLANK_ID]
+    cands = []
+    for edge, _, s in beams:
+        pb, pnb, own, parent, _ = s
+        cb = cnb = None
+        if pb != NEG_INF:
+            # the blank part's one source: this prefix's entry, either part
+            src = _pick(own[2], own[3], lp_blank)
+            cb = [src[0] + lp_blank, src[1] + BLANK_ID, (src[2], BLANK_ID)]
+            cands.append(cb)
+        if pnb != NEG_INF:
+            # at most two sources: this prefix's repeat and its parent's
+            # extension, which draws on the parent's blank-ending alignment
+            # alone when the token repeats the parent's last one
+            token = edge % n
+            lp_token = lp[token]
+            src = None if own is None else own[3]
+            if parent is not None:
+                src = _pick(src, parent[2], lp_token)
+                if last_token[edge // n] != token:
+                    src = _pick(src, parent[3], lp_token)
+            cnb = [src[0] + lp_token, src[1] + token, (src[2], token)]
+            cands.append(cnb)
+        s[2], s[3] = cb, cnb
+    cands.sort(key=itemgetter(1))
+    for rank, c in enumerate(cands):
+        c[1] = rank * n
 
 
 def greedy_decode(m: ProbMatrix, alphabet: Alphabet) -> DecodeResult:
@@ -276,10 +306,10 @@ def extended_prefix_beam_search(
     """Prefix beam search that also recovers the best alignment per label.
 
     Each beam entry carries, beside its mass, the single most probable
-    alignment ending in blank and ending in non-blank; they advance through
-    the same repeat / blank / extend cases as the mass and are resolved to one
-    winner per entry at each frame. The returned alignment for a hypothesis is
-    the better of its two candidates.
+    alignment ending in blank and ending in non-blank; at each frame they are
+    built for the kept entries alone, from the same repeat / blank / extend
+    moves as the mass, one winner per part. The returned alignment for a
+    hypothesis is the better of its two candidates.
     """
     check_beam_width(beam_width)
     check_alphabet(m, alphabet)
@@ -310,31 +340,46 @@ def extended_prefix_beam_search(
 def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie]:
     """Run the beam over ``log_rows``; the final (edge, node, slot) beams and the trie.
 
-    Slots are keyed by edge, so extending a prefix needs no trie lookup;
-    _prune turns the kept edges into nodes.
+    Each frame moves mass into slots keyed by edge, so extending a prefix
+    needs no trie lookup; _prune keeps the best and turns their edges into
+    nodes, and _candidates builds the kept slots' alignment candidates.
     """
     trie = _Trie(n_tokens)
     last_token = trie.token
-    advance = _advance
+    tokens = range(1, n_tokens)
 
     beams = [(-1, 0, [0.0, NEG_INF, [0.0, 0, None], None, 0.0])]
     for lp in log_rows:
         lp_blank = lp[BLANK_ID]
         slots: dict[int, list] = {}
-        for edge, node, (pb, pnb, cb, cnb, tot) in beams:
-            both = (cb, cnb)
+        for edge, node, s in beams:
+            pb, pnb, _, _, tot = s
             last = last_token[node]
-            # the root (token blank) has no non-blank mass: its repeat moves nothing
-            advance(slots, edge, 1, pnb, (cnb,), last, lp[last])
-            advance(slots, edge, 0, tot, both, BLANK_ID, lp_blank)
-            child = node * n_tokens
-            for c in range(1, n_tokens):
-                child += 1
-                if c == last:
-                    # extending with the last token again: only blank-ending
-                    # mass (and its candidate) can start the new event
-                    advance(slots, child, 1, pb, (cb,), c, lp[c])
+            # blank and repeat stay on the prefix; the root (token blank) has
+            # no non-blank mass, so its repeat moves nothing
+            b = tot + lp_blank
+            r = pnb + lp[last]
+            if b != NEG_INF or r != NEG_INF:
+                own = slots.get(edge)
+                if own is None:
+                    slots[edge] = [b, r, s, None, NEG_INF]
                 else:
-                    advance(slots, child, 1, tot, both, c, lp[c])
+                    own[0] = b
+                    own[1] = log_add(own[1], r)
+                    own[2] = s
+            base = node * n_tokens  # a child's edge is base + its token
+            for c in tokens:
+                # extending with the last token again: only blank-ending mass
+                # can start the new event
+                v = (pb if c == last else tot) + lp[c]
+                if v != NEG_INF:
+                    child = base + c
+                    ext = slots.get(child)
+                    if ext is None:
+                        slots[child] = [NEG_INF, v, None, s, NEG_INF]
+                    else:
+                        ext[1] = log_add(ext[1], v)
+                        ext[3] = s
         beams = _prune(slots, beam_width, trie)
+        _candidates(beams, lp, trie)
     return beams, trie

@@ -23,9 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BLANK_NAME, Alphabet, DataError, ProbMatrix, validate_prob_matrix
+from .core import Alphabet, DataError, ProbMatrix, is_class_name, validate_prob_matrix
 from .evaluation import GroundTruthEvent
 from .windowing import Detection
+
+
+_WRITE_BLOCK_ROWS = 1024
 
 
 class FormatError(DataError):
@@ -92,8 +95,8 @@ def _finite(field: str) -> float:
 
 
 def _class(field: str) -> str:
-    if field in ("", BLANK_NAME):
-        raise ValueError(f"class name {field!r} is empty or the blank's name")
+    if not is_class_name(field):
+        raise ValueError(f"class name {field!r} is empty, the blank's name or holds a comma")
     return field
 
 
@@ -107,11 +110,15 @@ def _write_table(path, header: list[str], rows) -> None:
 def write_prob_csv(path, m: ProbMatrix, alphabet: Alphabet) -> None:
     """Write a probability matrix plus its sample-rate sidecar."""
     names = [alphabet.name_of(c) for c in range(1, alphabet.size)]
-    _write_table(
-        path,
-        ["t", "p_blank"] + [f"p_{n}" for n in names],
-        ([t] + [f"{p:.12g}" for p in m.probs[t]] for t in range(m.frames)),
-    )
+    # one %-format per row over Python floats: formatting numpy scalars one
+    # by one costs more than the rest of the write. Rows are turned into
+    # floats a block at a time, so the write holds no copy of the matrix.
+    row = "%d" + ",%.12g" * m.n_tokens + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["t", "p_blank"] + [f"p_{n}" for n in names])
+        for lo in range(0, m.frames, _WRITE_BLOCK_ROWS):
+            block = m.probs[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+            fh.writelines(row % (t, *p) for t, p in enumerate(block, lo))
     sidecar_path(path).write_text(
         json.dumps({"sample_rate_hz": m.sample_rate_hz}) + "\n"
     )
@@ -129,7 +136,7 @@ def read_prob_csv(
             )
         names = []
         for col in header[2:]:
-            if not col.startswith("p_") or col[2:] in ("", BLANK_NAME, *names):
+            if not col.startswith("p_") or not is_class_name(col[2:]) or col[2:] in names:
                 raise FormatError(f"{path}: bad, reserved or repeated probability column {col!r}")
             names.append(col[2:])
         values = array("d")

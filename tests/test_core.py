@@ -44,6 +44,11 @@ class TestAlphabet:
         with pytest.raises(ParameterError):
             Alphabet.from_names(("E", name))
 
+    def test_class_name_with_comma_rejected(self):
+        # commas separate the names of loss --label and the fields of sweep rows
+        with pytest.raises(ParameterError):
+            Alphabet.from_names(("E", "a,b"))
+
     def test_name_round_trip(self):
         ab = Alphabet.from_names(("eat", "drink"))
         assert ab.size == 3

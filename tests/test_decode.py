@@ -13,6 +13,7 @@ from ctcdetect import (
     prefix_beam_search,
     prob_brute_force,
 )
+from ctcdetect import decode
 from ctcdetect.decode import _alignment, _search
 from ctcdetect.logspace import log_matrix
 
@@ -346,3 +347,30 @@ def test_trie_holds_at_most_frames_times_width_nodes(kind):
         # the tie walk relies on ids growing down every path and a blank root
         assert all(trie.parent[i] < i for i in range(len(labels)))
         assert trie.token[0] == BLANK_ID
+
+
+@pytest.mark.parametrize("width", (1, 3))
+def test_candidates_built_for_kept_prefixes_alone(monkeypatch, width):
+    # the prune ranks by mass alone, so candidates ([logp, order, cell]) are
+    # built after it for the kept slots only: a dropped slot still holds its
+    # sources (slots of the frame before), and only kept candidates are ranked
+    frames = []
+    prune = decode._prune
+
+    def recorded(slots, beam_width, trie):
+        beams = prune(slots, beam_width, trie)
+        frames.append((slots, beams))
+        return beams
+
+    monkeypatch.setattr(decode, "_prune", recorded)
+    rows = _stream("random", np.random.default_rng(width), 200, 4)
+    _search(log_matrix(rows).tolist(), 4, width)
+    assert len(frames) == 200
+    for slots, beams in frames:
+        kept = {edge for edge, _, _ in beams}
+        assert len(slots) > len(kept)
+        for edge, s in slots.items():
+            size = 3 if edge in kept else 5
+            assert all(field is None or len(field) == size for field in s[2:4])
+        orders = sorted(c[1] for _, _, s in beams for c in s[2:4] if c is not None)
+        assert orders == list(range(0, 4 * len(orders), 4))

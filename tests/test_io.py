@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from ctcdetect import Alphabet, Detection, GroundTruthEvent, gen_synthetic, SyntheticScript
+from ctcdetect import (
+    Alphabet,
+    Detection,
+    GroundTruthEvent,
+    ProbMatrix,
+    SyntheticScript,
+    gen_synthetic,
+)
+from ctcdetect import io as fileio
 from ctcdetect.io import (
     FormatError,
     read_detections_csv,
@@ -27,6 +35,21 @@ class TestProbCsv:
         assert alphabet.class_names == ("E", "D")
         assert m.sample_rate_hz == worked_matrix.sample_rate_hz
         assert np.allclose(m.probs, worked_matrix.probs, atol=1e-12)
+
+    def test_written_bytes(self, tmp_path, monkeypatch):
+        # rows use %.12g and CRLF line ends; the header is CSV-quoted; frame
+        # numbers run on across the blocks the rows are written in
+        monkeypatch.setattr(fileio, "_WRITE_BLOCK_ROWS", 2)
+        path = tmp_path / "probs.csv"
+        rows = np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [1e-300, 0.5, 0.5]])
+        write_prob_csv(path, ProbMatrix(rows, 4.0), Alphabet.from_names(("eat", 'sip "x"')))
+        assert path.read_bytes() == (
+            b't,p_blank,p_eat,"p_sip ""x"""\r\n'
+            b"0,0,1,0\r\n"
+            b"1,0.333333333333,0.333333333333,0.333333333333\r\n"
+            b"2,1e-300,0.5,0.5\r\n"
+        )
+        assert json.loads((tmp_path / "probs.csv.json").read_text()) == {"sample_rate_hz": 4.0}
 
     def test_explicit_rate_wins_over_sidecar(self, tmp_path, worked_matrix, worked_alphabet):
         path = tmp_path / "probs.csv"
