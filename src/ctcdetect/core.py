@@ -40,10 +40,12 @@ TokenSeq = tuple[int, ...]
 def is_class_name(name: str) -> bool:
     """Whether a class may take ``name``.
 
-    It must be non-empty, not the blank's name, and hold no comma: commas
-    separate the names of ``loss --label`` and the fields of ``sweep`` rows.
+    It must be non-empty, not the blank's name, and hold no comma and no
+    whitespace: commas separate the names of ``loss --label`` and the fields
+    of ``sweep`` rows, ``loss --label`` strips the space around each name,
+    and ``sweep`` joins a label's names with spaces.
     """
-    return name not in ("", BLANK_NAME) and "," not in name
+    return name not in ("", BLANK_NAME) and "," not in name and not any(map(str.isspace, name))
 
 
 class DataError(ValueError):
@@ -89,7 +91,8 @@ class Alphabet:
                 raise ParameterError("class names must be unique")
             if not all(map(is_class_name, names)):
                 raise ParameterError(
-                    f"class names must be non-empty, not {BLANK_NAME!r} and hold no comma"
+                    f"class names must be non-empty, not {BLANK_NAME!r}"
+                    " and hold no comma or whitespace"
                 )
 
     def validate_token(self, token: int) -> None:

@@ -18,29 +18,39 @@ token. Each frame takes three steps:
 
 1. Mass moves. Every surviving prefix is advanced three ways -- repeat the
    last token, append a blank, append a class token (which extends the
-   prefix) -- and moves landing on the same prefix merge by summing into one
-   slot. Appending a token equal to the prefix's last one only draws on p_b:
-   without a separating blank the repeat would collapse into the previous
-   event rather than start a new one. A slot records where its mass came
-   from: its own entry (blank and repeat) and its parent's (extension).
-2. Prune. The beam_width slots of highest total mass are kept.
+   prefix). Appending a token equal to the prefix's last one only draws on
+   p_b: without a separating blank the repeat would collapse into the
+   previous event rather than start a new one. Blank and repeat stay on the
+   prefix and fill its own slot, keyed by the beam's own edge, which records
+   the entry it came from. An extension into a prefix that has an own slot
+   merges into it by summing, and the slot records the parent's entry. An
+   extension into any other prefix is that prefix's only move, since one
+   prefix has one parent, so it stays a row (-mass, edge, parent's slot):
+   no slot, no map entry and no sum.
+2. Prune. The beam_width best of the own slots and the rows by total mass
+   are kept; a row gets its slot only when it is kept.
 3. Candidates. The kept slots alone get their alignment candidates, built
    from the recorded sources; the candidates never decide what is kept.
 
-The merge order of step 1 cannot change a bit: a slot's blank part has one
-source, its own entry; its non-blank part has at most two, its own repeat
-and its parent's extension, since one prefix has one parent; and two
-log-probabilities add the same either way round. Among the candidates
-competing for one part, no two share an order (see Determinism), so the
-winner does not depend on the order they are compared in either.
+None of this can change a bit against summing every move into a slot of
+its own prefix. A row's mass is its prefix's total: the blank part holds
+nothing, and log(0 + e^v) is v exactly. A slot's blank part has one source,
+its own entry; its non-blank part has at most two, its own repeat and its
+parent's extension; and two log-probabilities add the same either way
+round, so merge order is free. A prefix whose entry moved no mass has no
+own slot, and its extension row is then its only move, as above. Among the
+candidates competing for one part, no two share an order (see
+Determinism), so the winner does not depend on the order they are compared
+in either.
 
 All mass bookkeeping is in natural-log space.
 
 Prefix nodes: a prefix is a node of a trie built per decode, which stores
 each node's parent and last token; node 0 is the empty prefix. A prefix is
 also named by its edge, parent * n_tokens + token (-1 for the empty prefix),
-and a ``children`` map takes an edge to its node. Slots are keyed by edge, so
-extending a prefix costs O(1) whatever the label length. Pruning allocates a
+and a ``children`` map takes an edge to its node. Slots and rows are keyed
+by edge, so extending a prefix costs O(1) whatever the label length.
+Pruning allocates a
 node only for a kept edge that has none, so the trie holds at most frames x
 beam_width nodes beside the root, and a pruned prefix that comes back finds
 its old node: one prefix is one node, so merges stay exact. Label tuples are
@@ -78,12 +88,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import exp, log1p
 from operator import itemgetter
 
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet, collapse
-from .logspace import NEG_INF, log_add, log_matrix
+from .logspace import NEG_INF, log_matrix
 
 # A cell is (parent_cell | None, token). A candidate is [log_probability,
 # order, cell]: while a frame is built, order is parent rank * n_tokens +
@@ -93,7 +104,10 @@ from .logspace import NEG_INF, log_add, log_matrix
 # total being filled in by _prune. While a frame's mass moves, the two
 # candidate fields hold the sources instead: the slot of the prefix's own
 # entry and that of its parent's entry, each None if it moved no mass here.
-# A beam entry is (edge, node, slot).
+# An extension row is (-log_mass, edge, parent's slot). A beam entry is
+# (edge, node, slot).
+
+_first, _order = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -184,18 +198,25 @@ class _Trie:
         return [tuple(reversed(tails[e // n])) + (e % n,) if e >= 0 else () for e in edges]
 
 
-def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
-    """Keep the beam_width best slots by mass.
+def _prune(slots: dict, rows: list, beam_width: int, trie: _Trie) -> list:
+    """Keep the beam_width best of the own slots and the extension rows by mass.
 
-    Slots are ordered by total mass descending, then prefix ascending; the
-    kept ones are returned in that order as (edge, node, slot).
+    ``rows`` holds (-mass, edge, parent slot) for every extension into a
+    prefix without an own slot; the own slots are added to it as (-total,
+    edge, slot). Rows are ordered by mass descending, then prefix ascending; the
+    kept ones are returned in that order as (edge, node, slot), an extension
+    row getting its slot only here.
     """
-    first = itemgetter(0)
-    rows = [(-log_add(s[0], s[1]), edge, s) for edge, s in slots.items()]
-    rows.sort(key=first)
+    for edge, s in slots.items():
+        # log_add(p_b, p_nb), inline: the higher part, then the lower's share
+        hi, lo = s[0], s[1]
+        if hi < lo:
+            hi, lo = lo, hi
+        rows.append((-hi if lo == NEG_INF else -(hi + log1p(exp(lo - hi))), edge, s))
+    rows.sort(key=_first)
     n_kept = min(len(rows), beam_width)
     head = rows[: n_kept + 1]
-    if len(set(map(first, head))) < len(head):
+    if len(set(map(_first, head))) < len(head):
         # exactly equal totals that reach the kept part go in prefix order
         i = 0
         while i < n_kept:
@@ -205,30 +226,19 @@ def _prune(slots: dict, beam_width: int, trie: _Trie) -> list:
             if j - i > 1:
                 run = rows[i:j]
                 keys = trie.tie_keys([r[1] for r in run])
-                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=first)]
+                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=_first)]
             i = j
     children = trie.children
     beams = []
     for neg_tot, edge, s in rows[:n_kept]:
-        s[4] = -neg_tot
+        tot = -neg_tot
+        if edge in slots:
+            s[4] = tot
+        else:
+            s = [NEG_INF, tot, None, s, tot]
         node = children.get(edge)
         beams.append((edge, trie.add(edge) if node is None else node, s))
     return beams
-
-
-def _pick(a, b, lp_token: float):
-    """The better of candidates ``a`` and ``b`` once moved by a token of ``lp_token``.
-
-    The more probable wins; equal log-probabilities go to the
-    lexicographically smaller alignment, which is the smaller order. None
-    stands for a part without mass and loses to any candidate.
-    """
-    if a is None:
-        return b
-    if b is None:
-        return a
-    la, lb = a[0] + lp_token, b[0] + lp_token
-    return a if la > lb or (la == lb and a[1] < b[1]) else b
 
 
 def _candidates(beams: list, lp: list, trie: _Trie) -> None:
@@ -236,8 +246,10 @@ def _candidates(beams: list, lp: list, trie: _Trie) -> None:
 
     A kept slot's two source fields are replaced by its blank-ending and
     non-blank-ending candidates; a part holds one exactly when it holds mass.
-    Each candidate's order is then reset to its rank among all kept
-    candidates times n_tokens.
+    Of a part's sources, the one that is more probable once moved by the
+    part's token wins; equal log-probabilities go to the lexicographically
+    smaller alignment, which is the smaller order. Each candidate's order is
+    then reset to its rank among all kept candidates times n_tokens.
     """
     n, last_token = trie.n_tokens, trie.token
     lp_blank = lp[BLANK_ID]
@@ -246,9 +258,17 @@ def _candidates(beams: list, lp: list, trie: _Trie) -> None:
         pb, pnb, own, parent, _ = s
         cb = cnb = None
         if pb != NEG_INF:
-            # the blank part's one source: this prefix's entry, either part
-            src = _pick(own[2], own[3], lp_blank)
-            cb = [src[0] + lp_blank, src[1] + BLANK_ID, (src[2], BLANK_ID)]
+            # the blank part's one source: this prefix's entry, either part.
+            # The part holds mass, so lp_blank is finite and any source
+            # beats v = -inf.
+            src = own[2]
+            v = NEG_INF if src is None else src[0] + lp_blank
+            alt = own[3]
+            if alt is not None:
+                w = alt[0] + lp_blank
+                if w > v or w == v and alt[1] < src[1]:
+                    src, v = alt, w
+            cb = [v, src[1] + BLANK_ID, (src[2], BLANK_ID)]
             cands.append(cb)
         if pnb != NEG_INF:
             # at most two sources: this prefix's repeat and its parent's
@@ -257,14 +277,22 @@ def _candidates(beams: list, lp: list, trie: _Trie) -> None:
             token = edge % n
             lp_token = lp[token]
             src = None if own is None else own[3]
+            v = NEG_INF if src is None else src[0] + lp_token
             if parent is not None:
-                src = _pick(src, parent[2], lp_token)
-                if last_token[edge // n] != token:
-                    src = _pick(src, parent[3], lp_token)
-            cnb = [src[0] + lp_token, src[1] + token, (src[2], token)]
+                alt = parent[2]
+                if alt is not None:
+                    w = alt[0] + lp_token
+                    if w > v or w == v and alt[1] < src[1]:
+                        src, v = alt, w
+                alt = parent[3]
+                if alt is not None and last_token[edge // n] != token:
+                    w = alt[0] + lp_token
+                    if w > v or w == v and alt[1] < src[1]:
+                        src, v = alt, w
+            cnb = [v, src[1] + token, (src[2], token)]
             cands.append(cnb)
         s[2], s[3] = cb, cnb
-    cands.sort(key=itemgetter(1))
+    cands.sort(key=_order)
     for rank, c in enumerate(cands):
         c[1] = rank * n
 
@@ -314,35 +342,37 @@ def extended_prefix_beam_search(
     check_beam_width(beam_width)
     check_alphabet(m, alphabet)
     beams, trie = _search(log_matrix(m.probs).tolist(), alphabet.size, beam_width)
-    hypotheses = []
-    for _, node, (pb, pnb, cb, cnb, tot) in beams:
-        # every kept prefix has mass, so it has a candidate for the part that
-        # holds it; the better of the two wins, equal ones go to the smaller order
-        logp_align, _, cell = max(
-            (c for c in (cb, cnb) if c is not None), key=lambda c: (c[0], -c[1])
-        )
-        alignment = _alignment(cell)
-        label = trie.label(node)
-        assert collapse(alignment, alphabet) == label
-        hypotheses.append(
-            Hypothesis(
-                label=label,
-                probability=float(np.exp(tot)),
-                log_probability=tot,
-                alignment=alignment,
-                alignment_probability=float(np.exp(logp_align)),
-                alignment_log_probability=logp_align,
-            )
-        )
-    return DecodeResult(tuple(hypotheses))
+    return DecodeResult(tuple(_hypothesis(beam, trie, alphabet) for beam in beams))
+
+
+def _hypothesis(beam: tuple, trie: _Trie, alphabet: Alphabet) -> Hypothesis:
+    """The Hypothesis of one final (edge, node, slot) beam entry."""
+    _, node, (_, _, cb, cnb, tot) = beam
+    # every kept prefix has mass, so it has a candidate for the part that
+    # holds it; the better of the two wins, equal ones go to the smaller order
+    logp_align, _, cell = max(
+        (c for c in (cb, cnb) if c is not None), key=lambda c: (c[0], -c[1])
+    )
+    alignment = _alignment(cell)
+    label = trie.label(node)
+    assert collapse(alignment, alphabet) == label
+    return Hypothesis(
+        label=label,
+        probability=float(np.exp(tot)),
+        log_probability=tot,
+        alignment=alignment,
+        alignment_probability=float(np.exp(logp_align)),
+        alignment_log_probability=logp_align,
+    )
 
 
 def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie]:
     """Run the beam over ``log_rows``; the final (edge, node, slot) beams and the trie.
 
-    Each frame moves mass into slots keyed by edge, so extending a prefix
-    needs no trie lookup; _prune keeps the best and turns their edges into
-    nodes, and _candidates builds the kept slots' alignment candidates.
+    Each frame moves mass into the beam's own slots and into extension rows,
+    keyed by edge, so extending a prefix needs no trie lookup; _prune keeps
+    the best and turns their edges into nodes, and _candidates builds the
+    kept slots' alignment candidates.
     """
     trie = _Trie(n_tokens)
     last_token = trie.token
@@ -351,22 +381,18 @@ def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie
     beams = [(-1, 0, [0.0, NEG_INF, [0.0, 0, None], None, 0.0])]
     for lp in log_rows:
         lp_blank = lp[BLANK_ID]
+        # blank and repeat stay on the prefix; the root (token blank) has no
+        # non-blank mass, so its repeat moves nothing
         slots: dict[int, list] = {}
         for edge, node, s in beams:
-            pb, pnb, _, _, tot = s
-            last = last_token[node]
-            # blank and repeat stay on the prefix; the root (token blank) has
-            # no non-blank mass, so its repeat moves nothing
-            b = tot + lp_blank
-            r = pnb + lp[last]
+            b = s[4] + lp_blank
+            r = s[1] + lp[last_token[node]]
             if b != NEG_INF or r != NEG_INF:
-                own = slots.get(edge)
-                if own is None:
-                    slots[edge] = [b, r, s, None, NEG_INF]
-                else:
-                    own[0] = b
-                    own[1] = log_add(own[1], r)
-                    own[2] = s
+                slots[edge] = [b, r, s, None, NEG_INF]
+        rows = []
+        for _, node, s in beams:
+            pb, _, _, _, tot = s
+            last = last_token[node]
             base = node * n_tokens  # a child's edge is base + its token
             for c in tokens:
                 # extending with the last token again: only blank-ending mass
@@ -374,12 +400,20 @@ def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie
                 v = (pb if c == last else tot) + lp[c]
                 if v != NEG_INF:
                     child = base + c
-                    ext = slots.get(child)
-                    if ext is None:
-                        slots[child] = [NEG_INF, v, None, s, NEG_INF]
+                    into = slots.get(child)
+                    if into is None:
+                        # the child's only move: one prefix has one parent
+                        rows.append((-v, child, s))
                     else:
-                        ext[1] = log_add(ext[1], v)
-                        ext[3] = s
-        beams = _prune(slots, beam_width, trie)
+                        # log_add(into[1], v), inline
+                        p = into[1]
+                        if p == NEG_INF:
+                            into[1] = v
+                        elif p < v:
+                            into[1] = v + log1p(exp(p - v))
+                        else:
+                            into[1] = p + log1p(exp(v - p))
+                        into[3] = s
+        beams = _prune(slots, rows, beam_width, trie)
         _candidates(beams, lp, trie)
     return beams, trie

@@ -96,7 +96,9 @@ def _finite(field: str) -> float:
 
 def _class(field: str) -> str:
     if not is_class_name(field):
-        raise ValueError(f"class name {field!r} is empty, the blank's name or holds a comma")
+        raise ValueError(
+            f"class name {field!r} is empty, the blank's name or holds a comma or whitespace"
+        )
     return field
 
 

@@ -1,8 +1,9 @@
 """Numerically stable log-space probability arithmetic.
 
 Probabilities are carried as natural-log values with ``NEG_INF`` standing in
-for probability 0. The scalar ``log_add`` is deliberately kept free of numpy
-call overhead; it sits on the per-frame hot path of the beam decoders.
+for probability 0. The scalar ``log_add`` is kept free of numpy call
+overhead. The beam core in ``decode`` writes the same arithmetic out inline
+on its per-frame hot path, and must stay bit-identical to it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
-from .decode import check_beam_width, extended_prefix_beam_search
+from .decode import _hypothesis, _search, check_beam_width
+from .logspace import log_matrix
 
 DECODE_METHODS = ("greedy", "extended-beam")
 
@@ -160,7 +161,8 @@ def detect_pipeline(
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
     aligned = []
     for start, window in slide_windows(m, spec):
-        result = extended_prefix_beam_search(window, alphabet, beam_width)
-        aligned.append((start, result.top.alignment))
+        # the vote reads the top alignment alone, so only it is built
+        beams, trie = _search(log_matrix(window.probs).tolist(), alphabet.size, beam_width)
+        aligned.append((start, _hypothesis(beams[0], trie, alphabet).alignment))
     voted = majority_vote(aligned, m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

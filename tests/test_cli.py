@@ -270,6 +270,10 @@ MALFORMED = [
                  id="class-column-name-empty"),
     pytest.param({"p.csv": 't,p_blank,"p_a,b"\n0,0.5,0.5\n'}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="class-column-name-with-comma"),
+    pytest.param({"p.csv": "t,p_blank,p_a b\n0,0.5,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="class-column-name-with-space"),
+    pytest.param({"p.csv": "t,p_blank,p_E \n0,0.5,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="class-column-name-with-trailing-space"),
     pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5\n1,1.0\n"}, ["decode", "p.csv"],
                  EXIT_FORMAT, id="probability-row-short"),
     pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5,0.0\n"}, ["decode", "p.csv"], EXIT_FORMAT,
@@ -284,12 +288,16 @@ MALFORMED = [
                  id="detection-class-empty"),
     pytest.param({"d.csv": 'frame,time_s,class\n4,0.4,"a,b"\n', "g.csv": _GT}, _EVAL,
                  EXIT_FORMAT, id="detection-class-with-comma"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,0.4,a\tb\n", "g.csv": _GT}, _EVAL,
+                 EXIT_FORMAT, id="detection-class-with-tab"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,_\n"}, _EVAL,
                  EXIT_FORMAT, id="ground-truth-class-named-blank"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,\n"}, _EVAL,
                  EXIT_FORMAT, id="ground-truth-class-empty"),
     pytest.param({"d.csv": _DETS, "g.csv": 'start_frame,end_frame,class\n0,5,"a,b"\n'}, _EVAL,
                  EXIT_FORMAT, id="ground-truth-class-with-comma"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,a b\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-class-with-space"),
     pytest.param({"p.csv": b"t,p_blank,p_E\n0,0.5\xff,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="csv-not-utf8"),
     pytest.param({"p.csv": 't,p_blank,p_E\n0,0.5,"' + "1" * 200_000 + '"\n'}, ["decode", "p.csv"],
@@ -356,6 +364,8 @@ MALFORMED = [
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-event-class-empty"),
     pytest.param({}, ["gen", "--frames", "10", "--classes", "E,_", "--sample-rate-hz", "10",
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-class-named-blank"),
+    pytest.param({}, ["gen", "--frames", "10", "--classes", "E,a b", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-class-with-space"),
 ]
 
 

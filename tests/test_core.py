@@ -49,6 +49,12 @@ class TestAlphabet:
         with pytest.raises(ParameterError):
             Alphabet.from_names(("E", "a,b"))
 
+    @pytest.mark.parametrize("name", ["a b", "E ", "\tE", "a\nb", "a\u00a0b"])
+    def test_class_name_with_whitespace_rejected(self, name):
+        # sweep joins a label's names with spaces and loss --label strips them
+        with pytest.raises(ParameterError):
+            Alphabet.from_names(("E", name))
+
     def test_name_round_trip(self):
         ab = Alphabet.from_names(("eat", "drink"))
         assert ab.size == 3

@@ -351,26 +351,57 @@ def test_trie_holds_at_most_frames_times_width_nodes(kind):
 
 @pytest.mark.parametrize("width", (1, 3))
 def test_candidates_built_for_kept_prefixes_alone(monkeypatch, width):
-    # the prune ranks by mass alone, so candidates ([logp, order, cell]) are
-    # built after it for the kept slots only: a dropped slot still holds its
-    # sources (slots of the frame before), and only kept candidates are ranked
+    # blank and repeat moves fill slots keyed by the beam's own edges; an
+    # extension into any other prefix is a row (-mass, edge, parent slot),
+    # and the prune makes a slot only for a row it keeps. Candidates
+    # ([logp, order, cell]) are built after it for the kept slots only: a
+    # dropped slot still holds its sources (slots of the frame before), a
+    # dropped row leaves nothing, and only kept candidates are ranked
     frames = []
     prune = decode._prune
 
-    def recorded(slots, beam_width, trie):
-        beams = prune(slots, beam_width, trie)
-        frames.append((slots, beams))
+    def recorded(slots, rows, beam_width, trie):
+        moves = list(rows)
+        beams = prune(slots, rows, beam_width, trie)
+        frames.append((slots, moves, beams))
         return beams
 
     monkeypatch.setattr(decode, "_prune", recorded)
     rows = _stream("random", np.random.default_rng(width), 200, 4)
     _search(log_matrix(rows).tolist(), 4, width)
     assert len(frames) == 200
-    for slots, beams in frames:
-        kept = {edge for edge, _, _ in beams}
-        assert len(slots) > len(kept)
+    # each frame against the beam it starts from, the one kept the frame before
+    for (_, _, before), (slots, moves, beams) in zip(frames, frames[1:]):
+        kept = {edge: s for edge, _, s in beams}
+        assert len(slots) + len(moves) > len(kept)
+        assert set(slots) <= {edge for edge, _, _ in before}
+        parents = {node: s for _, node, s in before}
+        for _, edge, parent in moves:
+            # the extended prefix's one parent; a child with a slot is merged
+            assert parent is parents[edge // 4] and edge not in slots
         for edge, s in slots.items():
             size = 3 if edge in kept else 5
             assert all(field is None or len(field) == size for field in s[2:4])
-        orders = sorted(c[1] for _, _, s in beams for c in s[2:4] if c is not None)
+        for edge, s in kept.items():
+            assert all(field is None or len(field) == 3 for field in s[2:4])
+        orders = sorted(c[1] for s in kept.values() for c in s[2:4] if c is not None)
         assert orders == list(range(0, 4 * len(orders), 4))
+
+
+def test_pick_compares_after_the_move():
+    # two sources one ulp apart are equal once moved by a token of log
+    # probability -1e4, so the smaller order must win, as for any exact tie,
+    # not the source that was the more probable before the move
+    lower, higher = -1.0, -1.0 + 2.0**-52
+    assert lower != higher and lower - 1e4 == higher - 1e4
+    trie = decode._Trie(3)
+    node = trie.add(1)  # the prefix (1,), a child of the root
+    first = [lower, 0, (None, 1)]  # ordered first, less probable before the move
+    own = [0.0, 0.0, [higher, 4, ((None, 1), 0)], first, 0.0]
+    parent = [0.0, float("-inf"), [higher, 8, (None, 0)], None, 0.0]
+    slot = [-1.0, -1.0, own, parent, 0.0]
+    decode._candidates([(1, node, slot)], [-1e4] * 3, trie)
+    # blank part: own entry's two candidates; non-blank part: own repeat and
+    # the parent's blank-ending candidate
+    assert slot[2] == [lower - 1e4, 0, (first[2], 0)]
+    assert slot[3] == [lower - 1e4, 3, (first[2], 1)]

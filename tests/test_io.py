@@ -42,9 +42,9 @@ class TestProbCsv:
         monkeypatch.setattr(fileio, "_WRITE_BLOCK_ROWS", 2)
         path = tmp_path / "probs.csv"
         rows = np.array([[0.0, 1.0, 0.0], [1 / 3, 1 / 3, 1 / 3], [1e-300, 0.5, 0.5]])
-        write_prob_csv(path, ProbMatrix(rows, 4.0), Alphabet.from_names(("eat", 'sip "x"')))
+        write_prob_csv(path, ProbMatrix(rows, 4.0), Alphabet.from_names(("eat", 'sip"x"')))
         assert path.read_bytes() == (
-            b't,p_blank,p_eat,"p_sip ""x"""\r\n'
+            b't,p_blank,p_eat,"p_sip""x"""\r\n'
             b"0,0,1,0\r\n"
             b"1,0.333333333333,0.333333333333,0.333333333333\r\n"
             b"2,1e-300,0.5,0.5\r\n"

@@ -11,6 +11,7 @@ from ctcdetect import (
     WindowSpec,
     detect_pipeline,
     eventize,
+    extended_prefix_beam_search,
     gen_synthetic,
     greedy_decode,
     majority_vote,
@@ -19,6 +20,7 @@ from ctcdetect import (
 )
 
 from conftest import D, E
+from oracles import random_stochastic
 
 
 def _uniform_matrix(n_frames: int, rate: float = 1.0) -> ProbMatrix:
@@ -213,6 +215,38 @@ class TestDetectPipeline:
             ]
             expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
             assert detect_pipeline(m, spec, ab, method="greedy") == expected
+
+    @pytest.mark.parametrize("kind", ("random", "tenths", "one-hot"))
+    @pytest.mark.parametrize("width", (1, 3, 10))
+    def test_beam_equals_windowed_vote(self, kind, width):
+        # reference: every window's full result and its top alignment, then the
+        # vote; tenths rows tie often, one-hot rows leave most moves at log 0
+        rng = np.random.default_rng([width, len(kind)])
+        # a last window anchored to the end, a recording shorter than its window
+        geometries = [(25, WindowSpec(8, 5)), (5, WindowSpec(8, 4))]
+        assert [s for s, _ in slide_windows(_uniform_matrix(25), geometries[0][1])] == [
+            0, 5, 10, 15, 17
+        ]
+        for _ in range(20):
+            window = int(rng.integers(1, 20))
+            spec = WindowSpec(window, int(rng.integers(1, window + 1)))
+            geometries.append((int(rng.integers(1, 60)), spec))
+        for frames, spec in geometries:
+            n_tokens = int(rng.integers(2, 5))
+            ab = Alphabet(n_tokens)
+            if kind == "random":
+                rows = random_stochastic(rng, frames, n_tokens)
+            elif kind == "tenths":
+                rows = rng.multinomial(10, np.full(n_tokens, 1.0 / n_tokens), size=frames) / 10.0
+            else:
+                rows = np.eye(n_tokens)[rng.integers(0, n_tokens, frames)]
+            m = ProbMatrix(rows, 10.0)
+            aligned = [
+                (start, extended_prefix_beam_search(w, ab, width).top.alignment)
+                for start, w in slide_windows(m, spec)
+            ]
+            expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
+            assert detect_pipeline(m, spec, ab, "extended-beam", width) == expected
 
     def test_greedy_checks_alphabet(self):
         m = _uniform_matrix(10)
