@@ -69,24 +69,31 @@ def two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[Detection]:
     """Iterative thresholded maximum search over pooled class probabilities.
 
     Repeatedly selects the highest remaining frame probability among the
-    non-blank classes that exceeds the threshold, emits a detection with that
-    frame's most probable class, and suppresses all frames closer than the
-    minimum distance on both sides. Detections come back sorted by frame.
+    non-blank classes that exceeds the threshold (the earliest frame on
+    ties), emits a detection with that frame's most probable class, and
+    suppresses all frames closer than the minimum distance on both sides.
+    The frames above the threshold are visited once, best first, so the cost
+    does not grow with the number of detections. Detections come back sorted
+    by frame.
     """
     pooled = m.probs[:, 1:]
-    score = pooled.max(axis=1).copy()
+    score = pooled.max(axis=1)
     cls = pooled.argmax(axis=1) + 1
     rate = m.sample_rate_hz
     min_frames = params.min_distance_s * rate
+    # highest score first; the stable sort keeps tied frames in frame order,
+    # so each pick is the one a repeated first-index argmax would make
+    above = np.flatnonzero(score > params.threshold)
+    order = above[np.argsort(-score[above], kind="stable")]
+    suppressed = np.zeros(score.size, dtype=bool)
     detections = []
-    while True:
-        peak = int(np.argmax(score))
-        if score[peak] <= params.threshold:
-            break
+    for peak in order.tolist():
+        if suppressed[peak]:
+            continue
         detections.append(Detection(int(cls[peak]), peak, peak / rate))
         lo = int(np.ceil(peak - min_frames + 1e-9))
         hi = int(np.floor(peak + min_frames - 1e-9))
-        score[max(lo, 0) : min(hi, score.size - 1) + 1] = -1.0
+        suppressed[max(lo, 0) : min(hi, score.size - 1) + 1] = True
     detections.sort(key=lambda d: d.frame)
     return detections
 

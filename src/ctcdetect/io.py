@@ -15,6 +15,7 @@ from the header so files round-trip without extra configuration.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
@@ -29,6 +30,9 @@ from .windowing import Detection
 
 
 _WRITE_BLOCK_ROWS = 1024
+# ASCII file, group, record and unit separators: numpy strips them around a
+# number as whitespace, Python's float() rejects them
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 class FormatError(DataError):
@@ -129,18 +133,44 @@ def write_prob_csv(path, m: ProbMatrix, alphabet: Alphabet) -> None:
 def read_prob_csv(
     path, sample_rate_hz: float | None = None, renormalize: bool = False
 ) -> tuple[ProbMatrix, Alphabet]:
-    """Read a probability CSV; the sidecar supplies the rate unless given here."""
+    """Read a probability CSV; the sidecar supplies the rate unless given here.
+
+    numpy's C reader parses the rows. The csv loop runs instead whenever that
+    reader refuses the file or cannot vouch for it, so both accept the same
+    files, give the same probabilities bit for bit and raise the same errors.
+    """
+    parsed = _read_prob_rows_fast(path)
+    names, rows = parsed if parsed is not None else _read_prob_rows(path)
+    if sample_rate_hz is None:
+        sample_rate_hz = read_sidecar_rate(path) or 1.0
+    alphabet = Alphabet.from_names(names)
+    matrix = validate_prob_matrix(rows, sample_rate_hz, renormalize=renormalize)
+    return matrix, alphabet
+
+
+def _prob_class_names(path, header: list[str]) -> list[str]:
+    """Class names from a probability CSV header, or a FormatError."""
+    if len(header) < 3 or header[0] != "t" or header[1] != "p_blank":
+        raise FormatError(
+            f"{path}: expected header t,p_blank,p_<class>,... got {header}"
+        )
+    names = []
+    for col in header[2:]:
+        if not col.startswith("p_") or not is_class_name(col[2:]) or col[2:] in names:
+            raise FormatError(f"{path}: bad, reserved or repeated probability column {col!r}")
+        names.append(col[2:])
+    return names
+
+
+def _read_prob_rows(path) -> tuple[list[str], np.ndarray]:
+    """Class names and probability rows, parsed field by field by the csv module.
+
+    The reference for :func:`_read_prob_rows_fast`, and the path that reports
+    every malformed row.
+    """
     with _csv_reader(path) as reader:
         header = next(reader, [])
-        if len(header) < 3 or header[0] != "t" or header[1] != "p_blank":
-            raise FormatError(
-                f"{path}: expected header t,p_blank,p_<class>,... got {header}"
-            )
-        names = []
-        for col in header[2:]:
-            if not col.startswith("p_") or not is_class_name(col[2:]) or col[2:] in names:
-                raise FormatError(f"{path}: bad, reserved or repeated probability column {col!r}")
-            names.append(col[2:])
+        names = _prob_class_names(path, header)
         values = array("d")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -151,12 +181,59 @@ def read_prob_csv(
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not values:
         raise FormatError(f"{path}: no probability rows")
-    if sample_rate_hz is None:
-        sample_rate_hz = read_sidecar_rate(path) or 1.0
-    alphabet = Alphabet.from_names(names)
-    rows = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)
-    matrix = validate_prob_matrix(rows, sample_rate_hz, renormalize=renormalize)
-    return matrix, alphabet
+    return names, np.frombuffer(values, dtype=np.float64).reshape(-1, len(header) - 1)
+
+
+def _read_prob_rows_fast(path) -> tuple[list[str], np.ndarray] | None:
+    """What :func:`_read_prob_rows` returns, parsed by ``np.loadtxt``.
+
+    None when only the csv loop may judge the file, because the two readers
+    could part ways on it:
+
+    - no data lines, or a blank first one: ``loadtxt`` warns on input with
+      no data;
+    - text that is not ASCII: the loop decodes it by the locale;
+    - an ASCII separator control character (``_NUMPY_ONLY_SPACE``);
+    - a carriage return that ends a line alone: the loop's lines end there,
+      numpy's do not;
+    - a quote in the header: a quoted field may run on to the next line;
+    - a line longer than the csv field size limit: the loop rejects a
+      longer field, ``loadtxt`` reads it;
+    - a field ``loadtxt`` cannot convert;
+    - fewer rows than data lines: ``loadtxt`` skips blank lines, the loop
+      rejects them.
+
+    Every column is converted, ``t`` too, so that a row with an extra column
+    cannot pass unseen.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    lines = io.BytesIO(raw)
+    first = lines.readline()
+    if (
+        len(first) == len(raw)
+        or raw.startswith((b"\n", b"\r"), len(first))
+        or not raw.isascii()
+        or any(byte in raw for byte in _NUMPY_ONLY_SPACE)
+        or raw.count(b"\r") != raw.count(b"\r\n")
+        or b'"' in first
+        or max(map(len, io.BytesIO(raw))) > csv.field_size_limit()
+    ):
+        return None
+    try:
+        header = next(csv.reader([first.decode("ascii")]), [])
+    except csv.Error:
+        return None
+    names = _prob_class_names(path, header)
+    data_lines = raw.count(b"\n", len(first)) + (not raw.endswith(b"\n"))
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    del raw, lines  # free the file's text before the copy below
+    if rows.shape != (data_lines, len(header)):
+        return None
+    return names, np.ascontiguousarray(rows[:, 1:])
 
 
 def write_detections_csv(path, detections: list[Detection], alphabet: Alphabet) -> None:

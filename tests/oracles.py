@@ -7,7 +7,9 @@ dynamic-programming internals, so the two sides can check each other.
 The last section is a frozen, verbatim copy of the original beam decoders,
 which compared tied alignment candidates by rebuilding both whole chains.
 It is the reference for the library's single search core: same hypotheses,
-probabilities, alignments and tie-breaks, bit for bit.
+probabilities, alignments and tie-breaks, bit for bit. After it comes a
+frozen copy of the original two-stage detector, which ran one argmax over
+the whole recording per detection.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctcdetect import DecodeResult, Hypothesis
+from ctcdetect import DecodeResult, Detection, Hypothesis, TwoStageParams
 from ctcdetect.core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, collapse
 from ctcdetect.logspace import NEG_INF, log_add, log_matrix
 
@@ -336,3 +338,24 @@ def _snapshot(prefix: TokenSeq, beam) -> BeamState:
         alignment_b=None if cb is None else (_materialize(cb[1]), float(np.exp(cb[0]))),
         alignment_nb=None if cnb is None else (_materialize(cnb[1]), float(np.exp(cnb[0]))),
     )
+
+
+# --- frozen reference two-stage detector ------------------------------------
+
+def reference_two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[Detection]:
+    pooled = m.probs[:, 1:]
+    score = pooled.max(axis=1).copy()
+    cls = pooled.argmax(axis=1) + 1
+    rate = m.sample_rate_hz
+    min_frames = params.min_distance_s * rate
+    detections = []
+    while True:
+        peak = int(np.argmax(score))
+        if score[peak] <= params.threshold:
+            break
+        detections.append(Detection(int(cls[peak]), peak, peak / rate))
+        lo = int(np.ceil(peak - min_frames + 1e-9))
+        hi = int(np.floor(peak + min_frames - 1e-9))
+        score[max(lo, 0) : min(hi, score.size - 1) + 1] = -1.0
+    detections.sort(key=lambda d: d.frame)
+    return detections

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcdetect import (
     Alphabet,
@@ -16,6 +18,7 @@ from ctcdetect import (
 )
 
 from conftest import D, E
+from oracles import reference_two_stage_detect
 
 
 def _peaked_probs(total: int, peaks: dict[int, tuple[int, float]]) -> np.ndarray:
@@ -108,6 +111,40 @@ class TestTwoStageDetect:
             (d.class_id, 299 - d.frame) for d in two_stage_detect(rev, params)
         }
         assert forward == backward
+
+    def test_gap_far_below_one_frame_keeps_every_frame(self):
+        # a gap that rounds to no neighbour suppresses nothing; every frame
+        # above the threshold is visited once and detected once
+        m = ProbMatrix(_peaked_probs(6, {1: (E, 0.9), 2: (D, 0.9), 4: (E, 0.7)}), 1.0)
+        detections = two_stage_detect(m, TwoStageParams(0.5, 1e-12))
+        assert [(d.class_id, d.frame) for d in detections] == [(E, 1), (D, 2), (E, 4)]
+
+
+@st.composite
+def tied_streams(draw) -> ProbMatrix:
+    """Short recordings whose small integer weights tie scores across frames."""
+    n_tokens = draw(st.integers(2, 4))
+    frames = draw(st.integers(1, 40))
+    weights = st.lists(st.integers(0, 4), min_size=n_tokens, max_size=n_tokens).filter(any)
+    rows = np.array(draw(st.lists(weights, min_size=frames, max_size=frames)), dtype=float)
+    return ProbMatrix(rows / rows.sum(axis=1, keepdims=True), draw(st.sampled_from([1.0, 4.0, 64.0])))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(tied_streams(), st.data())
+def test_two_stage_matches_argmax_loop(m, data):
+    # thresholds that equal a score pin the strict "above"; gaps below one
+    # frame suppress only the peak itself, and a frame exactly a whole gap
+    # away is kept
+    scores = sorted({s for s in m.probs[:, 1:].max(axis=1).tolist() if 0 < s < 1})
+    threshold = data.draw(
+        st.sampled_from(scores) if scores and data.draw(st.booleans()) else st.floats(0.01, 0.99)
+    )
+    gap_frames = data.draw(
+        st.one_of(st.floats(1e-6, 1.0), st.integers(1, 12).map(float), st.floats(1.0, 15.0))
+    )
+    params = TwoStageParams(threshold, gap_frames / m.sample_rate_hz)
+    assert two_stage_detect(m, params) == reference_two_stage_detect(m, params)
 
 
 class TestThresholdParams:

@@ -280,6 +280,12 @@ MALFORMED = [
                  id="probability-row-long"),
     pytest.param({"p.csv": "t,p_blank,p_E\n"}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="probability-header-only"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="probability-header-then-blank-line"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5\n\n1,0.5,0.5\n"}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="probability-blank-line-between-rows"),
+    pytest.param({"p.csv": "t,p_blank,p_E\n0,1,0." + "0" * 200_000 + "\n"}, ["decode", "p.csv"],
+                 EXIT_FORMAT, id="probability-unquoted-field-over-limit"),
     pytest.param({"d.csv": "frame,time_s,class\n4,0.4\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,
                  id="detection-row-short"),
     pytest.param({"d.csv": "frame,time_s,class\n4,0.4,_\n", "g.csv": _GT}, _EVAL, EXIT_FORMAT,

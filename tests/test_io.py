@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcdetect import (
     Alphabet,
@@ -84,6 +87,103 @@ class TestProbCsv:
         (tmp_path / "probs.csv.json").write_text("{not json")
         with pytest.raises(FormatError):
             read_prob_csv(path)
+
+
+_LIMIT = csv.field_size_limit()
+# fields the loop accepts, and fields it rejects or reads differently from
+# numpy: an empty field, underscores, quotes, a non-numeric t, hex, NUL,
+# separator controls, non-ASCII text, and unquoted numbers one char inside
+# and outside the csv field size limit
+_NUMBERS = st.one_of(
+    st.floats(0, 1).map(repr),
+    st.floats(0, 1).map("{:.12g}".format),
+    st.sampled_from(["0", "1", ".5", "5.", "+0.5", "-0", "1e-300", "0.25E+0", " 0.5", "0.5 ",
+                     "\t1\x0b", "\x0c0", "nan", "-inf", "Infinity"]),
+)
+_ODD = st.sampled_from(["", "1_0", '"0.5"', '"0,5"', "#0", "x", "0x1p-3", "0.5\x00", "\x1c0",
+                        "\u00e90", "0." + "0" * (_LIMIT - 2), "0." + "0" * (_LIMIT - 1)])
+
+
+@st.composite
+def prob_csv_bytes(draw) -> bytes:
+    """Probability CSVs, half of them well formed, half with the traps between
+    the readers: odd fields, short and long rows, blank lines, a quoted or bad
+    header column, lone carriage returns and no final newline."""
+    names = draw(st.sampled_from([["E"], ["E", "D"]]))
+    header = ["t", "p_blank"] + [f"p_{n}" for n in names]
+    header[-1] = draw(st.sampled_from([header[-1]] * 6 + [f'"{header[-1]}"', "p_", "p__", "x"]))
+    width = len(header)
+    good = st.lists(_NUMBERS, min_size=width, max_size=width)
+    odd = st.lists(st.one_of(_NUMBERS, _ODD), min_size=width - 1, max_size=width + 1)
+    rows = draw(st.lists(good, max_size=6) | st.lists(good | odd | st.just([]), max_size=6))
+    end = st.sampled_from(["\n", "\r\n"])
+    ends = draw(
+        st.lists(end | st.just("\r"), min_size=len(rows) + 1, max_size=len(rows) + 1)
+        | end.map(lambda e: [e] * (len(rows) + 1))
+    )
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+def _rows_or_error(read, path):
+    try:
+        got = read(path)
+    except FormatError as exc:
+        return str(exc)
+    return got if got is None else (got[0], got[1].shape, got[1].tobytes())
+
+
+class TestProbCsvReaders:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(content=prob_csv_bytes())
+    def test_fast_path_matches_loop(self, tmp_path_factory, content):
+        # whatever numpy's reader returns, the csv loop returns bit for bit;
+        # a header it rejects gives the loop's message
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(content)
+        fast = _rows_or_error(fileio._read_prob_rows_fast, path)
+        if fast is not None:
+            assert fast == _rows_or_error(fileio._read_prob_rows, path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"t,p_blank,p_E\n0,0.5,0.5\n1,1,0\n",
+         b"t,p_blank,p_E\r\n0,0.5,0.5\r\n1,1,0",
+         b"t,p_blank,p_E,p_D\n0, 0.25 ,nan,-inf\n",
+         b"t,p_blank,p_E\n0,1e-300,1\n"],
+        ids=["lf", "crlf-no-final-newline", "spaces-and-non-finite", "tiny"],
+    )
+    def test_fast_path_takes_plain_files(self, tmp_path, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        assert fileio._read_prob_rows_fast(path) is not None
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'\xef\xbb\xbft,p_blank,p_E\n0,1,0\n',
+         b"t,p_blank,p_E\n0,1,\x1c0\n",
+         b"t,p_blank,p_E\r\r\n0,1,0\n",
+         b't,p_blank,"p_E"\n0,1,0\n',
+         b"t,p_blank,p_E",
+         b"t,p_blank,p_E\n\n",
+         b"t,p_blank,p_E\n0,1,0\n\n1,1,0\n",
+         b"t,p_blank,p_E\n0,1,0." + b"0" * _LIMIT,
+         b"t,p_blank,p_E\n#0,1,0\n",
+         b"t,p_blank,p_E\n0,1_0,0\n",
+         b"t,p_blank,p_E\n0,1,0,0\n"],
+        ids=["non-ascii", "separator-control", "lone-carriage-return", "quoted-header",
+             "no-data-line", "only-blank", "interior-blank", "over-limit", "non-numeric-t",
+             "underscore", "extra-column"],
+    )
+    # numpy warns on input with no data: a missed guard shows as that warning
+    @pytest.mark.filterwarnings("error")
+    def test_loop_judges_what_numpy_cannot_vouch_for(self, tmp_path, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        assert fileio._read_prob_rows_fast(path) is None
 
 
 class TestDetectionCsv:
