@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
-from .decode import _hypothesis, _search, check_beam_width
-from .logspace import log_matrix
+from .decode import check_beam_width
 
 DECODE_METHODS = ("greedy", "extended-beam")
 
@@ -74,14 +73,18 @@ def slide_windows(m: ProbMatrix, spec: WindowSpec) -> list[tuple[int, ProbMatrix
     end there. Recordings shorter than the window yield a single full-length
     window.
     """
-    total = m.frames
-    if total <= spec.window_frames:
+    if m.frames <= spec.window_frames:
         return [(0, m)]
-    last_start = total - spec.window_frames
+    return [(s, m.window(s, s + spec.window_frames)) for s in _window_starts(m.frames, spec)]
+
+
+def _window_starts(total: int, spec: WindowSpec) -> list[int]:
+    """The first frames of slide_windows' windows over ``total`` frames."""
+    last_start = max(total - spec.window_frames, 0)
     starts = list(range(0, last_start + 1, spec.stride_frames))
     if starts[-1] != last_start:
         starts.append(last_start)
-    return [(s, m.window(s, s + spec.window_frames)) for s in starts]
+    return starts
 
 
 def majority_vote(
@@ -89,13 +92,17 @@ def majority_vote(
 ) -> np.ndarray:
     """Fuse overlapping window alignments into one frame-level token stream.
 
+    Each alignment is (start frame, tokens); the tokens may be any int
+    sequence, such as a row of the int array that the beam's batch returns.
+
     Each frame takes the token voted by the most windows covering it. A frame
     whose lead is shared (including a class tied with blank) falls back to
     blank: disagreeing windows should not fabricate an event. Raises
     CoverageError if any frame has no vote and InvalidTokenError for a token
     outside the alphabet.
     """
-    counts = np.zeros((total_frames, alphabet.size), dtype=np.int64)
+    # int32: half the memory of int64, and no frame gets 2**31 votes
+    counts = np.zeros((total_frames, alphabet.size), dtype=np.int32)
     for start, tokens in alignments:
         idx = np.asarray(tokens, dtype=np.int64)
         if start < 0 or start + idx.size > total_frames:
@@ -149,6 +156,11 @@ def detect_pipeline(
     (greedy or extended beam search), majority-votes the overlapping
     alignments frame-wise, and eventizes the voted stream.
 
+    The beam decodes every window in one lockstep batch
+    (lockstep.search_windows), which gives each window the top alignment
+    that extended_prefix_beam_search gives it alone, bit for bit, and reads
+    the recording's rows once per frame for all windows.
+
     Greedy skips the windows: a frame's argmax does not depend on the window
     around it, so every covering window votes the same token and the vote is
     the argmax stream itself.
@@ -159,10 +171,13 @@ def detect_pipeline(
     check_alphabet(m, alphabet)
     if method == "greedy":
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
-    aligned = []
-    for start, window in slide_windows(m, spec):
-        # the vote reads the top alignment alone, so only it is built
-        beams, trie = _search(log_matrix(window.probs).tolist(), alphabet.size, beam_width)
-        aligned.append((start, _hypothesis(beams[0], trie, alphabet).alignment))
+    # imported on first use, so that importing the package does not compile it
+    from .lockstep import search_windows
+
+    starts = _window_starts(m.frames, spec)
+    frames = min(m.frames, spec.window_frames)
+    # the vote reads each window's top alignment alone, so only it is built
+    alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
+    aligned = list(zip(starts, alignments))
     voted = majority_vote(aligned, m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

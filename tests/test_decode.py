@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,15 +11,23 @@ from ctcdetect import (
     Alphabet,
     ParameterError,
     ProbMatrix,
+    SyntheticScript,
+    WindowSpec,
     best_alignment_brute_force,
     collapse,
+    detect_pipeline,
+    eventize,
     extended_prefix_beam_search,
+    gen_synthetic,
     greedy_decode,
+    majority_vote,
     prefix_beam_search,
     prob_brute_force,
+    slide_windows,
 )
-from ctcdetect import decode
-from ctcdetect.decode import _alignment, _search
+from ctcdetect import decode, lockstep
+from ctcdetect.decode import _alignment, _hypothesis, _search
+from ctcdetect.lockstep import search_windows
 from ctcdetect.logspace import log_matrix
 
 from conftest import D, E
@@ -405,3 +418,151 @@ def test_pick_compares_after_the_move():
     # the parent's blank-ending candidate
     assert slot[2] == [lower - 1e4, 0, (first[2], 0)]
     assert slot[3] == [lower - 1e4, 3, (first[2], 1)]
+
+
+# ------------------------------------------------------------ batched windows
+
+
+def assert_batch_matches_search(m: ProbMatrix, spec: WindowSpec, width: int) -> list:
+    """Every window's top hypothesis from the batch is _search's, bit for bit.
+
+    Returns the per-window top hypotheses of _search and _hypothesis.
+    """
+    windows = slide_windows(m, spec)
+    frames = windows[0][1].frames
+    starts = np.array([start for start, _ in windows])
+    alignments, labels, log_ps, align_log_ps = search_windows(m.probs, starts, frames, width)
+    assert alignments.shape == (len(windows), frames)
+    tops = []
+    for i, (_, window) in enumerate(windows):
+        beams, trie = _search(log_matrix(window.probs).tolist(), m.n_tokens, width)
+        top = _hypothesis(beams[0], trie, Alphabet(m.n_tokens))
+        assert labels[i] == top.label
+        assert tuple(alignments[i].tolist()) == top.alignment
+        assert float(log_ps[i]).hex() == top.log_probability.hex()
+        assert float(align_log_ps[i]).hex() == top.alignment_log_probability.hex()
+        tops.append(top)
+    return tops
+
+
+def _window_rows(kind: str, rng: np.random.Generator, frames: int, n_tokens: int) -> np.ndarray:
+    if kind == "random":
+        return random_stochastic(rng, frames, n_tokens)
+    if kind == "tenths":
+        return rng.multinomial(10, np.full(n_tokens, 1.0 / n_tokens), size=frames) / 10.0
+    if kind == "uniform":
+        return np.full((frames, n_tokens), 1.0 / n_tokens)
+    return np.eye(n_tokens)[rng.integers(0, n_tokens, frames)]
+
+
+# the tied-and-untied batch's top log-probabilities per window and its
+# detections, pinned from the per-window search
+MIXED_BATCH_LOG_PROBS = ["-0x1.30fb4573f8e88p+2"] * 9 + [
+    "-0x1.27298cb477231p+2", "-0x1.ed1da2b5f5cb5p+1", "-0x1.bd772a3e32e39p+1",
+    "-0x1.a88a7af406d7cp+1", "-0x1.18b895dd5104bp+1", "-0x1.4a3c3417eac6dp+1",
+    "-0x1.b33c1d4eb68c1p+1", "-0x1.f467f37424646p+1", "-0x1.fa5244c4163d5p+1",
+    "-0x1.212c6f481a97ep+2", "-0x1.040cb96a07168p+2", "-0x1.21b6da07e2fa3p+2",
+]
+MIXED_BATCH_DETECTIONS = [
+    (1, 2), (2, 14), (2, 18), (2, 22), (2, 26), (2, 30), (2, 34), (2, 38), (2, 42), (2, 45),
+    (1, 46), (2, 47), (1, 52), (1, 58), (2, 60), (1, 62), (2, 66), (1, 70), (2, 71), (2, 74),
+    (1, 77), (2, 80), (1, 82), (2, 83), (2, 90), (1, 92), (2, 94), (1, 95),
+]
+
+
+class TestSearchWindows:
+    @pytest.mark.parametrize("kind", ("random", "tenths", "uniform", "one-hot"))
+    @pytest.mark.parametrize("width", (1, 2, 3, 10))
+    def test_matches_search_on_every_window(self, kind, width):
+        # tenths and uniform rows tie often or always, one-hot rows leave
+        # most moves at log 0 and the rest at -inf
+        rng = np.random.default_rng([width, len(kind)])
+        # a last window anchored to the end, a recording shorter than its window
+        geometries = [(25, WindowSpec(8, 5)), (5, WindowSpec(8, 4))]
+        assert [s for s, _ in slide_windows(ProbMatrix(np.full((25, 2), 0.5), 1.0),
+                                            geometries[0][1])] == [0, 5, 10, 15, 17]
+        for _ in range(8):
+            window = int(rng.integers(1, 20))
+            spec = WindowSpec(window, int(rng.integers(1, window + 1)))
+            geometries.append((int(rng.integers(1, 60)), spec))
+        for frames, spec in geometries:
+            for n_tokens in (2, 3, 4):
+                m = ProbMatrix(_window_rows(kind, rng, frames, n_tokens), 10.0)
+                assert_batch_matches_search(m, spec, width)
+
+    def test_windows_in_batches(self, monkeypatch):
+        # a budget this small puts two windows in each batch, the last one alone
+        monkeypatch.setattr(lockstep, "_BATCH_CELLS", 2 * 3 * (8 + 32 * 3))
+        batches = []
+        search_batch = lockstep._search_batch
+
+        def recorded(probs, starts, frames, beam_width):
+            batches.append(len(starts))
+            return search_batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_batch", recorded)
+        m = ProbMatrix(random_stochastic(np.random.default_rng(3), 37, 3), 10.0)
+        assert_batch_matches_search(m, WindowSpec(8, 3), 3)
+        assert batches == [2] * 5 + [1]
+
+    def test_package_import_leaves_the_batch_unloaded(self):
+        # the pipeline imports the batch on first use, so that importing the
+        # package, as every CLI command does, does not compile it
+        code = "import sys, ctcdetect, ctcdetect.cli; print('ctcdetect.lockstep' in sys.modules)"
+        src = str(Path(decode.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_ten_minute_recording(self):
+        # 64 Hz, 8 s windows at half stride: 149 windows of 512 frames
+        rate, half = 64.0, 5 * 60 * 64
+        ab = Alphabet(3)
+        parts = []
+        for seed, mode in enumerate(("spiky", "blocky")):
+            rng = np.random.default_rng(seed)
+            slots = np.arange(0, half, half // 20)
+            apexes = slots + rng.integers(20, half // 20 - 20, size=slots.size)
+            events = tuple(zip(rng.integers(1, 3, size=slots.size).tolist(), apexes.tolist()))
+            script = SyntheticScript(half, events, mode=mode, noise_level=0.2, seed=seed)
+            parts.append(gen_synthetic(script, ab, rate)[0].probs)
+        m = ProbMatrix(np.concatenate(parts), rate)
+        spec = WindowSpec.from_seconds(8.0, rate)
+        tops = assert_batch_matches_search(m, spec, 3)
+        assert len(tops) == 149
+
+    def test_tied_and_untied_windows_in_one_batch(self, monkeypatch):
+        # the first half ties on every frame, the second does not; windows
+        # across the middle go from one to the other, so tied and untied
+        # windows advance in the same frames. Rows holding exact 0.0 and 1.0
+        # put -inf and 0.0 into the moves; any NaN raises a RuntimeWarning,
+        # which the suite turns into an error
+        with pytest.raises(RuntimeWarning):
+            np.array([float("-inf")]) - np.array([float("-inf")])
+        rng = np.random.default_rng(14)
+        uniform = np.full((48, 3), 1.0 / 3.0)
+        noisy = random_stochastic(rng, 48, 3)
+        noisy[[4, 5, 11, 12, 20, 33, 34]] = [
+            [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+            [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0],
+        ]
+        m = ProbMatrix(np.concatenate((uniform, noisy)), 4.0)
+        spec = WindowSpec(16, 4)
+        walked = []
+        order_ties = lockstep._Lockstep._order_ties
+
+        def recorded(self, ranked, mass, edges):
+            walked.append(len(mass))
+            order_ties(self, ranked, mass, edges)
+
+        monkeypatch.setattr(lockstep._Lockstep, "_order_ties", recorded)
+        tops = assert_batch_matches_search(m, spec, 3)
+        # the tie walk ran, in fewer than all window frames
+        assert 0 < len(walked) < 21 * 16
+        assert [top.log_probability.hex() for top in tops] == MIXED_BATCH_LOG_PROBS
+        ab = Alphabet(3)
+        aligned = [(s, top.alignment) for (s, _), top in zip(slide_windows(m, spec), tops)]
+        expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
+        detections = detect_pipeline(m, spec, ab, "extended-beam", 3)
+        assert detections == expected
+        assert [(d.class_id, d.frame) for d in detections] == MIXED_BATCH_DETECTIONS
