@@ -71,8 +71,9 @@ The search is online: the beam after frame t is the final beam of a search
 over the first t frames.
 
 Batched windows: lockstep.search_windows runs this search over all windows
-of a recording together, one frame at a time; detect_pipeline calls it, and
-a single stream goes through _search. Each window is a column of arrays with
+of a recording together, one frame at a time; detect_pipeline calls it for
+a recording cut into at least 64 windows, and fewer windows, like a single
+stream, go through _search one by one. Each window is a column of arrays with
 a row per beam entry, as many rows as the fullest beam holds, so the moves,
 the merge of an extension into its own slot, the prune to each window's
 width best, and the candidate picks with their order tie-break are numpy

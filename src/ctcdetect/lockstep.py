@@ -264,7 +264,12 @@ class _Lockstep:
 
 
 # about how many cells one batch of windows may hold: each of its beam entries
-# keeps two backpointers per frame and a few dozen per-frame values per token
+# keeps two backpointers per frame and a few dozen per-frame values per token.
+# Over the 899 windows of the perfbench seed-1 hour recording (2-vCPU Intel
+# Xeon), peak RSS above the loaded recording and time of search_windows:
+# width 3, one batch, +7.7 MB in 0.8 s (at 1 << 19, +3.1 MB in 1.3 s); width
+# 50, +17 MB in 13.0 s (1 << 19: +5.5 MB in 17.1 s; 1 << 23: +51 MB in
+# 13.5 s); width 200, +22 MB in 52 s (1 << 23: +70 MB in 51 s)
 _BATCH_CELLS = 1 << 21
 
 

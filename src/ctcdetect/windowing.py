@@ -15,9 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
-from .decode import check_beam_width
+from .decode import _hypothesis, _search, check_beam_width
+from .logspace import log_matrix
 
 DECODE_METHODS = ("greedy", "extended-beam")
+
+# fewest windows that the beam decodes in one lockstep batch. The batch costs
+# about 75 ms per 512 frames however few windows it holds, so with few windows
+# the window-by-window search is faster. On 512-frame windows of the perfbench
+# seed-1 hour recording (2-vCPU Intel Xeon): 1 window took 73-81 ms in the
+# batch against 2-5 ms alone; at 32 windows the batch still lost on some
+# slices at widths 1, 3 and 10; from 64 windows it won on every slice at every
+# width measured, 1 to 200 (CHANGES.md)
+_LOCKSTEP_MIN_WINDOWS = 64
 
 
 class CoverageError(ValueError):
@@ -101,8 +111,7 @@ def majority_vote(
     CoverageError if any frame has no vote and InvalidTokenError for a token
     outside the alphabet.
     """
-    # int32: half the memory of int64, and no frame gets 2**31 votes
-    counts = np.zeros((total_frames, alphabet.size), dtype=np.int32)
+    counts = np.zeros((total_frames, alphabet.size), dtype=np.int64)
     for start, tokens in alignments:
         idx = np.asarray(tokens, dtype=np.int64)
         if start < 0 or start + idx.size > total_frames:
@@ -156,10 +165,11 @@ def detect_pipeline(
     (greedy or extended beam search), majority-votes the overlapping
     alignments frame-wise, and eventizes the voted stream.
 
-    The beam decodes every window in one lockstep batch
-    (lockstep.search_windows), which gives each window the top alignment
-    that extended_prefix_beam_search gives it alone, bit for bit, and reads
-    the recording's rows once per frame for all windows.
+    The beam decodes a recording cut into at least 64 windows in one
+    lockstep batch (lockstep.search_windows), which gives each window
+    the top alignment that extended_prefix_beam_search gives it alone, bit
+    for bit, and reads the recording's rows once per frame for all windows.
+    Fewer windows are searched one by one, which is faster for them.
 
     Greedy skips the windows: a frame's argmax does not depend on the window
     around it, so every covering window votes the same token and the vote is
@@ -171,13 +181,19 @@ def detect_pipeline(
     check_alphabet(m, alphabet)
     if method == "greedy":
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
-    # imported on first use, so that importing the package does not compile it
-    from .lockstep import search_windows
-
     starts = _window_starts(m.frames, spec)
     frames = min(m.frames, spec.window_frames)
     # the vote reads each window's top alignment alone, so only it is built
-    alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
-    aligned = list(zip(starts, alignments))
-    voted = majority_vote(aligned, m.frames, alphabet)
+    if len(starts) < _LOCKSTEP_MIN_WINDOWS:
+        alignments = []
+        for start in starts:
+            logs = log_matrix(m.probs[start : start + frames]).tolist()
+            beams, trie = _search(logs, alphabet.size, beam_width)
+            alignments.append(_hypothesis(beams[0], trie, alphabet).alignment)
+    else:
+        # imported on first use, so that importing the package does not compile it
+        from .lockstep import search_windows
+
+        alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
+    voted = majority_vote(list(zip(starts, alignments)), m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

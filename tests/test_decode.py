@@ -505,6 +505,28 @@ class TestSearchWindows:
         assert_batch_matches_search(m, WindowSpec(8, 3), 3)
         assert batches == [2] * 5 + [1]
 
+    @pytest.mark.parametrize("n_windows", (1, 63, 64, 70))
+    def test_pipeline_batches_from_64_windows(self, monkeypatch, n_windows):
+        # fewer windows are searched one by one, which is faster for them;
+        # both paths give the per-window search's detections
+        batched = []
+        batch = lockstep.search_windows
+
+        def recorded(probs, starts, frames, beam_width):
+            batched.append(len(starts))
+            return batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "search_windows", recorded)
+        rng = np.random.default_rng(n_windows)
+        m = ProbMatrix(random_stochastic(rng, 8 + 4 * (n_windows - 1), 3), 10.0)
+        spec, ab = WindowSpec(8, 4), Alphabet(3)
+        tops = assert_batch_matches_search(m, spec, 3)
+        assert len(tops) == n_windows
+        aligned = [(s, top.alignment) for (s, _), top in zip(slide_windows(m, spec), tops)]
+        expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
+        assert detect_pipeline(m, spec, ab, "extended-beam", 3) == expected
+        assert batched == ([n_windows] if n_windows >= 64 else [])
+
     def test_package_import_leaves_the_batch_unloaded(self):
         # the pipeline imports the batch on first use, so that importing the
         # package, as every CLI command does, does not compile it
