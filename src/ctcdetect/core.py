@@ -18,7 +18,7 @@ All types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +84,7 @@ class Alphabet:
             names = tuple(self.class_names)
             object.__setattr__(self, "class_names", names)
             if len(names) != self.size - 1:
-                raise ParameterError(
-                    f"expected {self.size - 1} class names, got {len(names)}"
-                )
+                raise ParameterError(f"expected {self.size - 1} class names, got {len(names)}")
             if len(set(names)) != len(names):
                 raise ParameterError("class names must be unique")
             if not all(map(is_class_name, names)):
@@ -134,7 +132,7 @@ class ProbMatrix:
     """
 
     probs: np.ndarray
-    sample_rate_hz: float = field(default=1.0)
+    sample_rate_hz: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.probs, dtype=np.float64)
@@ -170,6 +168,7 @@ class ProbMatrix:
         """Frame slice ``[start, stop)`` as a read-only view with the same rate.
 
         A slice of a valid matrix is valid, so it is neither rechecked nor copied.
+        detect_pipeline does not use it; it slices rows.
         """
         if not 0 <= start < stop <= self.frames:
             raise ParameterError(f"invalid window [{start}, {stop}) for {self.frames} frames")

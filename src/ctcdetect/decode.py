@@ -70,28 +70,7 @@ for a returned hypothesis.
 The search is online: the beam after frame t is the final beam of a search
 over the first t frames.
 
-Batched windows: lockstep.search_windows runs this search over all windows
-of a recording together, one frame at a time; detect_pipeline calls it for
-a recording cut into at least 64 windows, and fewer windows, like a single
-stream, go through _search one by one. Each window is a column of arrays with
-a row per beam entry, as many rows as the fullest beam holds, so the moves,
-the merge of an extension into its own slot, the prune to each window's
-width best, and the candidate picks with their order tie-break are numpy
-operations along the windows. Each of those is an exact IEEE add, compare or
-sort, so every window gets the bits that _search gives it. The log-adds are
-the exception: numpy's vectorised exp and log1p may round differently from
-math's, which would move masses by their last bit. So every hi +
-log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
-differences, and the -inf cases are masked exactly where the scalar code
-branches on them, so no -inf - -inf is formed. A window whose best width + 1
-totals hold an exact tie orders that tie with _Trie.tie_keys, in Python, and
-only such windows do; the prefix nodes are arrays, each window's below a
-root of its own. A frame's rows are gathered for all windows and logged as
-the batch reaches them, so no logged copy of the whole recording is held.
-Alignments are kept as one small backpointer per candidate per frame, its
-source row times n_tokens plus its token, and the top alignments of all
-windows are traced back together; each is checked to collapse to its
-window's top label, as _hypothesis checks.
+Batched windows: lockstep runs this search over many windows at once.
 
 Determinism: beams are pruned by total mass with ties broken toward the
 lexicographically smaller prefix; alignment candidates tie-break toward the
@@ -231,7 +210,7 @@ def _prune(slots: dict, rows: list, beam_width: int, trie: _Trie) -> list:
     row getting its slot only here.
     """
     for edge, s in slots.items():
-        # log_add(p_b, p_nb), inline: the higher part, then the lower's share
+        # log(e^p_b + e^p_nb), inline: the higher part, then the lower's share
         hi, lo = s[0], s[1]
         if hi < lo:
             hi, lo = lo, hi
@@ -428,7 +407,7 @@ def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie
                         # the child's only move: one prefix has one parent
                         rows.append((-v, child, s))
                     else:
-                        # log_add(into[1], v), inline
+                        # log(e^into[1] + e^v), inline
                         p = into[1]
                         if p == NEG_INF:
                             into[1] = v

@@ -116,15 +116,19 @@ def _write_table(path, header: list[str], rows) -> None:
 def write_prob_csv(path, m: ProbMatrix, alphabet: Alphabet) -> None:
     """Write a probability matrix plus its sample-rate sidecar."""
     names = [alphabet.name_of(c) for c in range(1, alphabet.size)]
-    # one %-format per row over Python floats: formatting numpy scalars one
-    # by one costs more than the rest of the write. Rows are turned into
-    # floats a block at a time, so the write holds no copy of the matrix.
+    # one %-format per block of rows over Python floats: formatting numpy
+    # scalars, or each row on its own, costs more than the rest of the write.
+    # Frame numbers ride in the block as floats, exact below 2**53, which %d
+    # prints as integers. A block at a time, the write holds no copy of the
+    # matrix.
     row = "%d" + ",%.12g" * m.n_tokens + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(["t", "p_blank"] + [f"p_{n}" for n in names])
         for lo in range(0, m.frames, _WRITE_BLOCK_ROWS):
-            block = m.probs[lo : lo + _WRITE_BLOCK_ROWS].tolist()
-            fh.writelines(row % (t, *p) for t, p in enumerate(block, lo))
+            block = m.probs[lo : lo + _WRITE_BLOCK_ROWS]
+            frames = np.arange(lo, lo + len(block), dtype=np.float64)
+            fields = np.column_stack((frames, block)).ravel().tolist()
+            fh.write(row * len(block) % tuple(fields))
     sidecar_path(path).write_text(
         json.dumps({"sample_rate_hz": m.sample_rate_hz}) + "\n"
     )

@@ -1,9 +1,30 @@
 """Extended prefix beam search over all windows of a recording at once.
 
-See "Batched windows" in ``decode``: the windows advance in lockstep, one
-frame at a time, each getting bit for bit the top hypothesis that
-``decode._search`` gives it alone. The pipeline imports this module when it
-first decodes by beam, so importing the package does not compile it.
+search_windows runs decode's extended prefix beam search over all windows of
+a recording together, one frame at a time; detect_pipeline calls it for a
+recording cut into at least 64 windows, and fewer windows, like a single
+stream, go through decode._search one by one. Each window is a column of
+arrays with a row per beam entry, as many rows as the fullest beam holds, so
+the moves, the merge of an extension into its own slot, the prune to each
+window's width best, and the candidate picks with their order tie-break are
+numpy operations along the windows. Each of those is an exact IEEE add,
+compare or sort, so every window gets the bits that _search gives it. The
+log-adds are the exception: numpy's vectorised exp and log1p may round
+differently from math's, which would move masses by their last bit. So every
+hi + log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
+differences, and the -inf cases are masked exactly where the scalar code
+branches on them, so no -inf - -inf is formed. A window whose best width + 1
+totals hold an exact tie orders that tie with _Trie.tie_keys, in Python, and
+only such windows do; the prefix nodes are arrays, each window's below a
+root of its own. A frame's rows are gathered for all windows and logged as
+the batch reaches them, so no logged copy of the whole recording is held.
+Alignments are kept as one small backpointer per candidate per frame, its
+source row times n_tokens plus its token, and the top alignments of all
+windows are traced back together; each is checked to collapse to its
+window's top label, as decode._hypothesis checks.
+
+The pipeline imports this module when it first decodes by beam, so importing
+the package does not compile it.
 """
 
 from __future__ import annotations
@@ -18,7 +39,7 @@ from .logspace import NEG_INF, log_matrix
 
 
 def _log1p_exp(d: np.ndarray) -> np.ndarray:
-    """log1p(exp(d)) per element by math's exp and log1p (decode: Batched windows)."""
+    """log1p(exp(d)) per element by math's exp and log1p, as the scalar core rounds."""
     return np.fromiter(map(log1p, map(exp, d.tolist())), float, d.size)
 
 
@@ -149,7 +170,7 @@ class _Lockstep:
         return b, r, into, rows, (again, lp_last, merges, ext)
 
     def _log_adds(self, b, r, into):
-        """p_nb = log_add(r, into) and the total log_add(b, p_nb) per entry."""
+        """p_nb = log(e^r + e^into) and the total log(e^b + e^p_nb) per entry."""
         # hi + log1p(exp(lo - hi)) where both parts hold mass, else the one
         # that does; no -inf - -inf is formed
         pnb = np.maximum(r, into)

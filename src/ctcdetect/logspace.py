@@ -1,29 +1,15 @@
 """Numerically stable log-space probability arithmetic.
 
 Probabilities are carried as natural-log values with ``NEG_INF`` standing in
-for probability 0. The scalar ``log_add`` is kept free of numpy call
-overhead. The beam core in ``decode`` writes the same arithmetic out inline
-on its per-frame hot path, and must stay bit-identical to it.
+for probability 0. The beam cores add two log-probabilities inline, as
+``hi + log1p(exp(lo - hi))`` with math's scalar functions.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def log_add(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) without leaving log space."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
 
 
 def log_sum(values: np.ndarray) -> float:

@@ -81,7 +81,7 @@ def slide_windows(m: ProbMatrix, spec: WindowSpec) -> list[tuple[int, ProbMatrix
     Windows start at 0, stride, 2*stride, ...; when the stride grid does not
     land a window exactly on the final frame, one extra window is anchored to
     end there. Recordings shorter than the window yield a single full-length
-    window.
+    window. detect_pipeline does not use it; it slices rows at _window_starts.
     """
     if m.frames <= spec.window_frames:
         return [(0, m)]
@@ -165,11 +165,9 @@ def detect_pipeline(
     (greedy or extended beam search), majority-votes the overlapping
     alignments frame-wise, and eventizes the voted stream.
 
-    The beam decodes a recording cut into at least 64 windows in one
-    lockstep batch (lockstep.search_windows), which gives each window
-    the top alignment that extended_prefix_beam_search gives it alone, bit
-    for bit, and reads the recording's rows once per frame for all windows.
-    Fewer windows are searched one by one, which is faster for them.
+    The beam decodes a recording of at least 64 windows in one lockstep batch
+    (lockstep.search_windows), bit for bit as it would window by window;
+    fewer windows are searched one by one, which is faster for them.
 
     Greedy skips the windows: a frame's argmax does not depend on the window
     around it, so every covering window votes the same token and the vote is

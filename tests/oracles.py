@@ -14,13 +14,25 @@ the whole recording per detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ctcdetect import DecodeResult, Detection, Hypothesis, TwoStageParams
 from ctcdetect.core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, collapse
-from ctcdetect.logspace import NEG_INF, log_add, log_matrix
+from ctcdetect.logspace import NEG_INF, log_matrix
+
+
+def log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) without leaving log space; the beam cores inline it."""
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
 
 
 def collapse_plain(tokens) -> tuple[int, ...]:

@@ -30,6 +30,26 @@ from ctcdetect.io import (
 from conftest import D, E
 
 
+# 0 and 1, a value %.12g rounds, and values %.12g prints with an exponent
+_PROBABILITIES = st.sampled_from([0.0, 1.0, 1 / 3, 1e-05, 1e-300]) | st.floats(0, 1)
+
+
+@st.composite
+def prob_rows(draw) -> list[list[float]]:
+    """A few rows of 2 to 5 tokens summing to 1: each value is drawn, capped
+    by what the row has left, and what is left goes to a drawn column."""
+    n_tokens = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row, left = [], 1.0
+        for _ in range(n_tokens - 1):
+            row.append(min(draw(_PROBABILITIES), left))
+            left -= row[-1]
+        row.insert(draw(st.integers(0, n_tokens - 1)), left)
+        rows.append(row)
+    return rows
+
+
 class TestProbCsv:
     def test_round_trip_with_sidecar(self, tmp_path, worked_matrix, worked_alphabet):
         path = tmp_path / "probs.csv"
@@ -53,6 +73,31 @@ class TestProbCsv:
             b"2,1e-300,0.5,0.5\r\n"
         )
         assert json.loads((tmp_path / "probs.csv.json").read_text()) == {"sample_rate_hz": 4.0}
+
+    @pytest.mark.parametrize("block", [1, 2, 3, None], ids=["block1", "block2", "block3", "default"])
+    @settings(deadline=None, derandomize=True, database=None, max_examples=60)
+    @given(data=st.data())
+    def test_bytes_match_per_row_format(self, tmp_path_factory, block, data):
+        # the writer formats a block of rows at once; its bytes must be those
+        # of the per-row format it replaced, kept here as the reference, for
+        # frame counts around every multiple of the block size
+        rows = data.draw(prob_rows())
+        size = block or fileio._WRITE_BLOCK_ROWS
+        frames = data.draw(st.integers(1, 3)) * size + data.draw(st.sampled_from([-1, 0, 1]))
+        m = ProbMatrix(np.resize(rows, (max(frames, 1), len(rows[0]))), 25.0)
+        alphabet = Alphabet.from_names([f"c{i}" for i in range(1, m.n_tokens)])
+        path = tmp_path_factory.getbasetemp() / "per-row.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(fileio, "_WRITE_BLOCK_ROWS", block)
+            write_prob_csv(path, m, alphabet)
+        header = ",".join(["t", "p_blank"] + [f"p_{n}" for n in alphabet.class_names])
+        row = "%d" + ",%.12g" * m.n_tokens + "\r\n"
+        per_row = "".join(row % (t, *p) for t, p in enumerate(m.probs.tolist()))
+        assert path.read_bytes() == (header + "\r\n" + per_row).encode()
+        assert json.loads((tmp_path_factory.getbasetemp() / "per-row.csv.json").read_text()) == {
+            "sample_rate_hz": 25.0
+        }
 
     def test_explicit_rate_wins_over_sidecar(self, tmp_path, worked_matrix, worked_alphabet):
         path = tmp_path / "probs.csv"
