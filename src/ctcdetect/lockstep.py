@@ -23,13 +23,26 @@ source row times n_tokens plus its token, and the top alignments of all
 windows are traced back together; each is checked to collapse to its
 window's top label, as decode._hypothesis checks.
 
+A long recording's windows are split into contiguous shares, one per usable
+CPU up to _MAX_SHARES, none smaller than _MIN_SHARE_WINDOWS: the parent
+searches the first share and a worker made by os.fork each other one,
+sending its results back pickled through a pipe. A window's result does not
+depend on which batch or share holds it, so the shares change no bit.
+
 The pipeline imports this module when it first decodes by beam, so importing
 the package does not compile it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import traceback
+import warnings
 from math import exp, log1p
+from pathlib import Path
 
 import numpy as np
 
@@ -286,12 +299,28 @@ class _Lockstep:
 
 # about how many cells one batch of windows may hold: each of its beam entries
 # keeps two backpointers per frame and a few dozen per-frame values per token.
-# Over the 899 windows of the perfbench seed-1 hour recording (2-vCPU Intel
-# Xeon), peak RSS above the loaded recording and time of search_windows:
-# width 3, one batch, +7.7 MB in 0.8 s (at 1 << 19, +3.1 MB in 1.3 s); width
-# 50, +17 MB in 13.0 s (1 << 19: +5.5 MB in 17.1 s; 1 << 23: +51 MB in
-# 13.5 s); width 200, +22 MB in 52 s (1 << 23: +70 MB in 51 s)
+# The bound holds per process: the parent and each worker run one batch at a
+# time. Over the 899 windows of the perfbench seed-1 hour recording (2-vCPU
+# Intel Xeon), searched in one share, peak RSS above the loaded recording and
+# time of search_windows: width 3, one batch, +7.7 MB in 0.8 s (at 1 << 19,
+# +3.1 MB in 1.3 s); width 50, +17 MB in 13.0 s (1 << 19: +5.5 MB in 17.1 s;
+# 1 << 23: +51 MB in 13.5 s); width 200, +22 MB in 52 s (1 << 23: +70 MB in
+# 51 s)
 _BATCH_CELLS = 1 << 21
+
+# the most shares search_windows splits its windows into. The split was timed
+# on one idle 2-vCPU host only; more shares than CPUs the process really gets
+# (a CPU quota, a busy host) cost CPU time and memory for no wall time
+_MAX_SHARES = 2
+
+# the fewest windows a share may hold. Each share pays the batch's fixed cost
+# per frame, and the worker its fork. Rounds of detect_pipeline over the first
+# n windows of the perfbench hour recording won by two shares against one
+# (width 3, 2-vCPU Intel Xeon): seed 1, 7 rounds, n = 128 and 256 3 (both
+# slower in the median), 384 6, 512 4, 899 7 (CPU 0.91 s against 0.75 s);
+# 11 rounds, seed 1 and seed 7, n = 256 9 and 7, 320 6 and 8, 384 8 and 7,
+# 448 10 and 10
+_MIN_SHARE_WINDOWS = 224
 
 
 def search_windows(
@@ -302,15 +331,140 @@ def search_windows(
     Window w covers rows starts[w] to starts[w] + frames of ``probs``.
     Returns the top alignments as rows of one small-int array, the top
     labels, and the top label's and alignment's log-probabilities, each bit
-    for bit what _search and _hypothesis give for that window alone. The
-    windows go in batches small enough that a wide beam keeps memory bounded.
+    for bit what _search and _hypothesis give for that window alone.
+
+    The windows are split into contiguous shares, one per usable CPU
+    (_usable_cpus) up to _MAX_SHARES, but none under _MIN_SHARE_WINDOWS
+    windows; with one CPU or fewer than twice that many windows, there is
+    one share and no worker.
+    This process searches the first share, a forked worker each other one.
+    Every process takes its windows in batches small enough that a wide beam
+    keeps its memory bounded. A worker that fails makes this raise
+    RuntimeError with its traceback, or with its exit code where it sent no
+    whole result; no worker outlives the call.
     """
+    n_shares = min(_usable_cpus(), _MAX_SHARES, len(starts) // _MIN_SHARE_WINDOWS)
+    shares = np.array_split(starts, max(1, n_shares))
+    workers = {}  # pid: the read end of its pipe, until the worker is reaped
+    try:
+        for share in shares[1:]:
+            pid, pipe = _fork_share(probs, share, frames, beam_width)
+            workers[pid] = pipe
+        parts = [_search_share(probs, shares[0], frames, beam_width)]
+        for pid, pipe in list(workers.items()):
+            # read to the end before waiting: the results overflow the pipe's
+            # buffer, so the worker exits only once they are read
+            with pipe:
+                data = pipe.read()
+            code = _reaped(pid)
+            del workers[pid]
+            try:
+                done, result = pickle.loads(data)
+            except Exception:  # nothing, or a result cut short by the worker's death
+                done, result = False, f"no result, exit code {code}"
+            if not done:
+                raise RuntimeError(f"a forked window search failed: {result}")
+            parts.append(result)
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            _reaped(pid)
+    return _joined(parts)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, by os.sched_getaffinity (1 where it
+    is missing, as on macOS and Windows), cut to the whole CPUs of a cgroup
+    CPU quota: in a container run with, say, --cpus 1 the mask still shows
+    every CPU of the host, and two shares on one CPU took 25% longer."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+    quota = _quota_cpus()
+    return cpus if quota is None else max(1, min(cpus, int(quota)))
+
+
+def _quota_cpus(root: Path = Path("/sys/fs/cgroup")) -> float | None:
+    """The CPUs' worth of time per period that the cgroup v2 (cpu.max) or v1
+    (cpu.cfs_quota_us) quota at ``root`` grants; None without a quota."""
+    try:
+        quota, period = (root / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        grant = int(quota) / int(period)
+    except (ValueError, ZeroDivisionError):  # "max": no quota
+        return None
+    return grant if grant > 0 else None  # v1 writes -1 for no quota
+
+
+def _reaped(pid: int):
+    """Wait for worker ``pid`` to end; its exit code, or "unknown" where the
+    kernel reaped it already, as it does while SIGCHLD is ignored."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return "unknown"
+
+
+def _fork_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):
+    """Fork a worker that searches ``starts`` and pickles the outcome into a
+    pipe; returns its pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        # Python 3.12 and later warn on a fork while another thread runs, as
+        # numpy's BLAS pool does. The worker runs numpy elementwise, sort and
+        # take operations and math, no BLAS, then leaves by os._exit, so it
+        # takes no lock that another thread held at the fork
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                DeprecationWarning,
+            )
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                try:
+                    outcome = True, _search_share(probs, starts, frames, beam_width)
+                except Exception:
+                    outcome = False, traceback.format_exc()
+                pickle.dump(outcome, pipe)
+            status = 0
+        finally:
+            # no atexit hooks, and no flush of stdio buffers the parent holds
+            os._exit(status)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _search_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):
+    """search_windows for one share of windows, in batches of _BATCH_CELLS."""
     size = max(1, _BATCH_CELLS // (beam_width * (frames + 32 * probs.shape[1])))
-    batches = [
-        _search_batch(probs, starts[i : i + size], frames, beam_width)
-        for i in range(0, len(starts), size)
-    ]
-    alignments, labels, log_ps, alignment_log_ps = zip(*batches)
+    return _joined(
+        [
+            _search_batch(probs, starts[i : i + size], frames, beam_width)
+            for i in range(0, len(starts), size)
+        ]
+    )
+
+
+def _joined(parts):
+    """The results of consecutive runs of windows, as one run's."""
+    alignments, labels, log_ps, alignment_log_ps = zip(*parts)
     return (
         np.concatenate(alignments),
         [label for part in labels for label in part],

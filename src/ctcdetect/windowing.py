@@ -161,13 +161,13 @@ def detect_pipeline(
 ) -> list[Detection]:
     """Full recording-to-detections pipeline.
 
-    Slides windows over the recording, decodes each window's top alignment
-    (greedy or extended beam search), majority-votes the overlapping
-    alignments frame-wise, and eventizes the voted stream.
+    Slides windows, decodes each one's top alignment (greedy or beam),
+    majority-votes the overlaps per frame and eventizes the vote.
 
-    The beam decodes a recording of at least 64 windows in one lockstep batch
-    (lockstep.search_windows), bit for bit as it would window by window;
-    fewer windows are searched one by one, which is faster for them.
+    The beam searches 64 or more windows in lockstep batches
+    (lockstep.search_windows), from 448 windows in two shares given two
+    CPUs, the second in a forked worker, memory bounded per process.
+    It is bit for bit the window-by-window search that fewer windows take.
 
     Greedy skips the windows: a frame's argmax does not depend on the window
     around it, so every covering window votes the same token and the vote is

@@ -1,6 +1,10 @@
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +459,39 @@ def _window_rows(kind: str, rng: np.random.Generator, frames: int, n_tokens: int
     return np.eye(n_tokens)[rng.integers(0, n_tokens, frames)]
 
 
+def _use_cpus(monkeypatch, cpus: int | None) -> list:
+    """Make search_windows see ``cpus`` usable CPUs (None: no affinity call)
+    and no cgroup CPU quota, and count the forks it makes from this process."""
+    monkeypatch.setattr(lockstep, "_quota_cpus", lambda: None)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _windows(n_windows: int, seed: int, kind: str = "random") -> tuple[np.ndarray, np.ndarray]:
+    """Rows for ``n_windows`` windows of 8 frames at stride 4, and their starts."""
+    rng = np.random.default_rng(seed)
+    return _window_rows(kind, rng, 4 * n_windows + 4, 3), np.arange(0, 4 * n_windows, 4)
+
+
+# the fewest windows search_windows splits in two
+SPLIT = 2 * lockstep._MIN_SHARE_WINDOWS
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # the tied-and-untied batch's top log-probabilities per window and its
 # detections, pinned from the per-window search
 MIXED_BATCH_LOG_PROBS = ["-0x1.30fb4573f8e88p+2"] * 9 + [
@@ -588,3 +625,193 @@ class TestSearchWindows:
         detections = detect_pipeline(m, spec, ab, "extended-beam", 3)
         assert detections == expected
         assert [(d.class_id, d.frame) for d in detections] == MIXED_BATCH_DETECTIONS
+
+    @pytest.mark.parametrize("cpus, max_shares, n_forks", ((2, 2, 1), (3, 2, 1), (3, 3, 2)))
+    @pytest.mark.parametrize("kind", ("random", "tenths"))
+    def test_shares_match_one_share(self, monkeypatch, cpus, max_shares, n_forks, kind):
+        # the windows go in one share per usable CPU up to _MAX_SHARES, each
+        # but the first searched in a forked worker
+        n_windows = 3 * lockstep._MIN_SHARE_WINDOWS
+        probs, starts = _windows(n_windows, cpus, kind)
+        _use_cpus(monkeypatch, 1)
+        one = search_windows(probs, starts, 8, 3)
+        forks = _use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(lockstep, "_MAX_SHARES", max_shares)
+        shared = search_windows(probs, starts, 8, 3)
+        assert forks == [os.getpid()] * n_forks
+        assert_no_child_left()
+        assert shared[0].dtype == one[0].dtype and shared[0].shape == (n_windows, 8)
+        assert shared[0].tolist() == one[0].tolist()
+        assert shared[1] == one[1]
+        for i in (2, 3):
+            assert [x.hex() for x in shared[i].tolist()] == [x.hex() for x in one[i].tolist()]
+
+    @pytest.mark.parametrize(
+        "cpus, n_windows, n_forks", ((2, SPLIT - 1, 0), (2, SPLIT, 1), (None, SPLIT, 0))
+    )
+    def test_shares_from_twice_the_share_minimum(self, monkeypatch, cpus, n_windows, n_forks):
+        # no share holds fewer windows than _MIN_SHARE_WINDOWS, below which
+        # two shares were not faster; without an affinity call there is one
+        probs, starts = _windows(n_windows, n_windows)
+        forks = _use_cpus(monkeypatch, cpus)
+        alignments, *_ = search_windows(probs, starts, 8, 3)
+        assert len(forks) == n_forks and len(alignments) == n_windows
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("quota, n_forks", ((None, 1), (1.5, 0), (2.0, 1)))
+    def test_cpu_quota_limits_the_shares(self, monkeypatch, quota, n_forks):
+        # a quota of under two whole CPUs keeps the search in one process
+        # whatever the affinity mask shows
+        forks = _use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(lockstep, "_quota_cpus", lambda: quota)
+        probs, starts = _windows(SPLIT, 11)
+        alignments, *_ = search_windows(probs, starts, 8, 3)
+        assert len(forks) == n_forks and len(alignments) == SPLIT
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "files, quota",
+        (
+            ({}, None),
+            ({"cpu.max": "max 100000\n"}, None),
+            ({"cpu.max": "150000 100000\n"}, 1.5),
+            ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+            ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2.0),
+            ({"cpu/cpu.cfs_quota_us": "50000\n"}, None),
+        ),
+    )
+    def test_cgroup_cpu_quota(self, tmp_path, files, quota):
+        # cgroup v2 writes "quota period" or "max period" to cpu.max; v1
+        # writes the quota, -1 for none, and the period to two files
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert lockstep._quota_cpus(tmp_path) == quota
+
+    def test_failed_worker_raises_in_the_parent(self, monkeypatch):
+        search_batch = lockstep._search_batch
+
+        def failing(probs, starts, frames, beam_width):
+            if starts[0] > 0:
+                raise ValueError(f"no search from frame {starts[0]}")
+            return search_batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_batch", failing)
+        _use_cpus(monkeypatch, 2)
+        probs, starts = _windows(SPLIT, 5)
+        second = 4 * lockstep._MIN_SHARE_WINDOWS
+        with pytest.raises(RuntimeError, match=f"ValueError: no search from frame {second}$"):
+            search_windows(probs, starts, 8, 3)
+        assert_no_child_left()
+
+        # a worker that dies before it sends anything
+        def dying(probs, starts, frames, beam_width):
+            if starts[0] > 0:
+                os._exit(3)
+            return search_batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_batch", dying)
+        with pytest.raises(RuntimeError, match="no result, exit code 3"):
+            search_windows(probs, starts, 8, 3)
+        assert_no_child_left()
+
+    def test_worker_killed_while_sending_raises_in_the_parent(self, monkeypatch):
+        # a worker killed halfway through its result (say by the OOM killer)
+        # leaves a pickle cut short, reported by the worker's exit code
+        def cut_short(outcome, pipe):
+            data = pickle.dumps(outcome)
+            pipe.write(data[: len(data) // 2])
+            pipe.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pickle, "dump", cut_short)
+        _use_cpus(monkeypatch, 2)
+        probs, starts = _windows(SPLIT, 9)
+        with pytest.raises(RuntimeError, match="no result, exit code -9"):
+            search_windows(probs, starts, 8, 3)
+        assert_no_child_left()
+
+    def test_ignored_sigchld(self, monkeypatch):
+        # while SIGCHLD is ignored the kernel reaps each worker itself, so
+        # waitpid finds no child; the results, or the failures, still come
+        probs, starts = _windows(SPLIT, 10)
+        _use_cpus(monkeypatch, 1)
+        one = search_windows(probs, starts, 8, 3)
+        forks = _use_cpus(monkeypatch, 2)
+        search_batch = lockstep._search_batch
+
+        def dying(probs, starts, frames, beam_width):
+            if starts[0] > 0:
+                os._exit(3)
+            return search_batch(probs, starts, frames, beam_width)
+
+        def failing_late(probs, starts, frames, beam_width):
+            if starts[0] > 0:
+                os._exit(0)
+            time.sleep(0.5)  # the worker has ended and been reaped by now
+            raise ValueError("no search in the parent")
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            shared = search_windows(probs, starts, 8, 3)
+            monkeypatch.setattr(lockstep, "_search_batch", dying)
+            with pytest.raises(RuntimeError, match="no result, exit code unknown"):
+                search_windows(probs, starts, 8, 3)
+            monkeypatch.setattr(lockstep, "_search_batch", failing_late)
+            with pytest.raises(ValueError, match="no search in the parent"):
+                search_windows(probs, starts, 8, 3)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 3
+        assert_no_child_left()
+        assert shared[0].tolist() == one[0].tolist() and shared[1] == one[1]
+        for i in (2, 3):
+            assert [x.hex() for x in shared[i].tolist()] == [x.hex() for x in one[i].tolist()]
+
+    def test_failed_own_share_stops_the_workers(self, monkeypatch):
+        # the worker would search for a minute; the parent's failure kills it
+        search_batch = lockstep._search_batch
+
+        def failing(probs, starts, frames, beam_width):
+            if starts[0] == 0:
+                raise ValueError("no search in the parent")
+            time.sleep(60)
+            return search_batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_batch", failing)
+        forks = _use_cpus(monkeypatch, 2)
+        probs, starts = _windows(SPLIT, 6)
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="no search in the parent"):
+            search_windows(probs, starts, 8, 3)
+        assert len(forks) == 1 and time.perf_counter() - began < 30
+        assert_no_child_left()
+
+    def test_fork_warning_of_a_threaded_process_is_ignored(self, monkeypatch):
+        # Python 3.12 and later warn on fork when another thread runs, as
+        # numpy's BLAS pool does; only that warning is silenced, only there
+        fork = os.fork
+
+        def warning_fork(message):
+            def forked():
+                warnings.warn(message, DeprecationWarning, stacklevel=2)
+                return fork()
+
+            return forked
+
+        _use_cpus(monkeypatch, 3)
+        probs, starts = _windows(SPLIT, 7)
+        threads = (f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                   "lead to deadlocks in the child.")
+        monkeypatch.setattr(os, "fork", warning_fork(threads))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alignments, *_ = search_windows(probs, starts, 8, 3)
+        assert len(alignments) == SPLIT
+        assert_no_child_left()
+        monkeypatch.setattr(os, "fork", warning_fork("fork is going away"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DeprecationWarning, match="fork is going away"):
+                search_windows(probs, starts, 8, 3)
+        assert_no_child_left()
