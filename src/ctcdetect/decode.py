@@ -219,17 +219,7 @@ def _prune(slots: dict, rows: list, beam_width: int, trie: _Trie) -> list:
     n_kept = min(len(rows), beam_width)
     head = rows[: n_kept + 1]
     if len(set(map(_first, head))) < len(head):
-        # exactly equal totals that reach the kept part go in prefix order
-        i = 0
-        while i < n_kept:
-            j = i + 1
-            while j < len(rows) and rows[j][0] == rows[i][0]:
-                j += 1
-            if j - i > 1:
-                run = rows[i:j]
-                keys = trie.tie_keys([r[1] for r in run])
-                rows[i:j] = [r for _, r in sorted(zip(keys, run), key=_first)]
-            i = j
+        _order_tied(rows, n_kept, trie)
     children = trie.children
     beams = []
     for neg_tot, edge, s in rows[:n_kept]:
@@ -241,6 +231,21 @@ def _prune(slots: dict, rows: list, beam_width: int, trie: _Trie) -> list:
         node = children.get(edge)
         beams.append((edge, trie.add(edge) if node is None else node, s))
     return beams
+
+
+def _order_tied(rows: list, n_kept: int, trie: _Trie) -> None:
+    """Put the runs of exactly equal totals that reach the first ``n_kept`` of
+    ``rows``, (total, edge, ...) tuples sorted by total, in prefix order."""
+    i = 0
+    while i < n_kept:
+        j = i + 1
+        while j < len(rows) and rows[j][0] == rows[i][0]:
+            j += 1
+        if j - i > 1:
+            run = rows[i:j]
+            keys = trie.tie_keys([r[1] for r in run])
+            rows[i:j] = [r for _, r in sorted(zip(keys, run), key=_first)]
+        i = j
 
 
 def _candidates(beams: list, lp: list, trie: _Trie) -> None:

@@ -49,7 +49,10 @@ def read_sidecar_rate(csv_path) -> float | None:
     if not path.exists():
         return None
     try:
-        rate = float(json.loads(path.read_text())["sample_rate_hz"])
+        rate = json.loads(path.read_text())["sample_rate_hz"]
+        if isinstance(rate, (bool, str)):  # float() would take true and "10"
+            raise TypeError(f"sample rate must be a JSON number, got {rate!r}")
+        rate = float(rate)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad sidecar {path}: {exc}") from exc
     if not 0 < rate < math.inf:

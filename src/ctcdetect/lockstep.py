@@ -14,8 +14,8 @@ differently from math's, which would move masses by their last bit. So every
 hi + log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
 differences, and the -inf cases are masked exactly where the scalar code
 branches on them, so no -inf - -inf is formed. A window whose best width + 1
-totals hold an exact tie orders that tie with _Trie.tie_keys, in Python, and
-only such windows do; the prefix nodes are arrays, each window's below a
+totals hold an exact tie orders that tie with decode._order_tied, in Python,
+and only such windows do; the prefix nodes are arrays, each window's below a
 root of its own. A frame's rows are gathered for all windows and logged as
 the batch reaches them, so no logged copy of the whole recording is held.
 Alignments are kept as one small backpointer per candidate per frame, its
@@ -23,11 +23,11 @@ source row times n_tokens plus its token, and the top alignments of all
 windows are traced back together; each is checked to collapse to its
 window's top label, as decode._hypothesis checks.
 
-A long recording's windows are split into contiguous shares, one per usable
-CPU up to _MAX_SHARES, none smaller than _MIN_SHARE_WINDOWS: the parent
-searches the first share and a worker made by os.fork each other one,
-sending its results back pickled through a pipe. A window's result does not
-depend on which batch or share holds it, so the shares change no bit.
+A long recording's windows are split into two contiguous halves, on two
+usable CPUs and for at least twice _MIN_SHARE_WINDOWS windows: the parent
+searches the first half and one worker made by os.fork the second, sending
+its results back pickled through a pipe. A window's result does not depend
+on which batch or half holds it, so the split changes no bit.
 
 The pipeline imports this module when it first decodes by beam, so importing
 the package does not compile it.
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BLANK_ID, TokenSeq
-from .decode import _first, _Trie
+from .decode import _order_tied, _Trie
 from .logspace import NEG_INF, log_matrix
 
 
@@ -219,20 +219,11 @@ class _Lockstep:
 
     def _order_ties(self, ranked, mass, edges) -> None:
         """Put the runs of equal totals that reach the kept part in prefix order."""
-        held = int((mass != NEG_INF).sum())
-        rows = ranked[:held].tolist()
-        tots, run_edges = mass[rows].tolist(), edges[rows].tolist()
-        n_kept = min(held, self.width)
-        i = 0
-        while i < n_kept:
-            j = i + 1
-            while j < held and tots[j] == tots[i]:
-                j += 1
-            if j - i > 1:
-                keys = self.nodes.tie_keys(run_edges[i:j])
-                rows[i:j] = [row for _, row in sorted(zip(keys, rows[i:j]), key=_first)]
-            i = j
-        ranked[:n_kept] = rows[:n_kept]
+        held = ranked[: int((mass != NEG_INF).sum())]
+        rows = list(zip(mass[held].tolist(), edges[held].tolist(), held.tolist()))
+        n_kept = min(len(rows), self.width)
+        _order_tied(rows, n_kept, self.nodes)
+        ranked[:n_kept] = [row for _, _, row in rows[:n_kept]]
 
     def _candidates(self, lp, kept, b, pnb, merge) -> np.ndarray:
         """Build the kept entries' candidates and move the rest of their state.
@@ -299,7 +290,7 @@ class _Lockstep:
 
 # about how many cells one batch of windows may hold: each of its beam entries
 # keeps two backpointers per frame and a few dozen per-frame values per token.
-# The bound holds per process: the parent and each worker run one batch at a
+# The bound holds per process: the parent and the worker run one batch at a
 # time. Over the 899 windows of the perfbench seed-1 hour recording (2-vCPU
 # Intel Xeon), searched in one share, peak RSS above the loaded recording and
 # time of search_windows: width 3, one batch, +7.7 MB in 0.8 s (at 1 << 19,
@@ -307,11 +298,6 @@ class _Lockstep:
 # 1 << 23: +51 MB in 13.5 s); width 200, +22 MB in 52 s (1 << 23: +70 MB in
 # 51 s)
 _BATCH_CELLS = 1 << 21
-
-# the most shares search_windows splits its windows into. The split was timed
-# on one idle 2-vCPU host only; more shares than CPUs the process really gets
-# (a CPU quota, a busy host) cost CPU time and memory for no wall time
-_MAX_SHARES = 2
 
 # the fewest windows a share may hold. Each share pays the batch's fixed cost
 # per frame, and the worker its fork. Rounds of detect_pipeline over the first
@@ -333,45 +319,41 @@ def search_windows(
     labels, and the top label's and alignment's log-probabilities, each bit
     for bit what _search and _hypothesis give for that window alone.
 
-    The windows are split into contiguous shares, one per usable CPU
-    (_usable_cpus) up to _MAX_SHARES, but none under _MIN_SHARE_WINDOWS
-    windows; with one CPU or fewer than twice that many windows, there is
-    one share and no worker.
-    This process searches the first share, a forked worker each other one.
+    With at least twice _MIN_SHARE_WINDOWS windows and two usable CPUs
+    (_usable_cpus), the windows are split into two contiguous halves: this
+    process searches the first and one forked worker the second. Otherwise
+    this process searches them all and nothing is forked.
     Every process takes its windows in batches small enough that a wide beam
     keeps its memory bounded. A worker that fails makes this raise
     RuntimeError with its traceback, or with its exit code where it sent no
-    whole result; no worker outlives the call.
+    whole result; the worker never outlives the call.
     """
-    n_shares = min(_usable_cpus(), _MAX_SHARES, len(starts) // _MIN_SHARE_WINDOWS)
-    shares = np.array_split(starts, max(1, n_shares))
-    workers = {}  # pid: the read end of its pipe, until the worker is reaped
+    if len(starts) < 2 * _MIN_SHARE_WINDOWS or _usable_cpus() < 2:
+        return _search_share(probs, starts, frames, beam_width)
+    own, other = np.array_split(starts, 2)
+    pid, pipe = _fork_share(probs, other, frames, beam_width)
+    data = None
     try:
-        for share in shares[1:]:
-            pid, pipe = _fork_share(probs, share, frames, beam_width)
-            workers[pid] = pipe
-        parts = [_search_share(probs, shares[0], frames, beam_width)]
-        for pid, pipe in list(workers.items()):
+        with pipe:
+            first = _search_share(probs, own, frames, beam_width)
             # read to the end before waiting: the results overflow the pipe's
             # buffer, so the worker exits only once they are read
-            with pipe:
-                data = pipe.read()
-            code = _reaped(pid)
-            del workers[pid]
-            try:
-                done, result = pickle.loads(data)
-            except Exception:  # nothing, or a result cut short by the worker's death
-                done, result = False, f"no result, exit code {code}"
-            if not done:
-                raise RuntimeError(f"a forked window search failed: {result}")
-            parts.append(result)
+            data = pipe.read()
     finally:
-        for pid, pipe in workers.items():
-            pipe.close()
+        if data is None:  # this process failed: the worker's result is not wanted
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-            _reaped(pid)
-    return _joined(parts)
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except ChildProcessError:  # the kernel reaped it, as while SIGCHLD is ignored
+            code = "unknown"
+    try:
+        done, result = pickle.loads(data)
+    except Exception:  # nothing, or a result cut short by the worker's death
+        done, result = False, f"no result, exit code {code}"
+    if not done:
+        raise RuntimeError(f"a forked window search failed: {result}")
+    return _joined([first, result])
 
 
 def _usable_cpus() -> int:
@@ -403,15 +385,6 @@ def _quota_cpus(root: Path = Path("/sys/fs/cgroup")) -> float | None:
     except (ValueError, ZeroDivisionError):  # "max": no quota
         return None
     return grant if grant > 0 else None  # v1 writes -1 for no quota
-
-
-def _reaped(pid: int):
-    """Wait for worker ``pid`` to end; its exit code, or "unknown" where the
-    kernel reaped it already, as it does while SIGCHLD is ignored."""
-    try:
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    except ChildProcessError:
-        return "unknown"
 
 
 def _fork_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):

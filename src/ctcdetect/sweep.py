@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .core import Alphabet, ParameterError, ProbMatrix, TokenSeq
 from .decode import extended_prefix_beam_search
 from .evaluation import GroundTruthEvent, evaluate, prf1
-from .windowing import WindowSpec, detect_pipeline
+from .windowing import WindowSpec, detect_pipeline, eventize
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,10 @@ def sweep_beam_width(
 ) -> list[SweepRow]:
     """Decode at each beam width; score F1 when ground truth is supplied.
 
-    The top label is from a whole-stream decode. With ground truth (and an
-    optional window spec, defaulting to one window over the whole stream) the
-    detection pipeline runs at each width and is scored event-level.
+    The top label is from a whole-stream decode. With ground truth, each
+    width's detections are scored event-level: those of the detection
+    pipeline under ``window_spec``, or without one, of that decode's top
+    alignment, which is what one window over the whole stream votes.
     """
     widths = [int(w) for w in widths]
     if not widths:
@@ -40,10 +41,10 @@ def sweep_beam_width(
         top = result.top
         f1 = None
         if ground_truth is not None:
-            spec = window_spec or WindowSpec(m.frames, max(1, m.frames // 2))
-            detections = detect_pipeline(
-                m, spec, alphabet, method="extended-beam", beam_width=width
-            )
+            if window_spec is None:
+                detections = eventize(top.alignment, m.sample_rate_hz)
+            else:
+                detections = detect_pipeline(m, window_spec, alphabet, "extended-beam", width)
             f1 = prf1(evaluate(detections, ground_truth)).f1
         rows.append(SweepRow(width, top.label, top.probability, f1))
     return rows

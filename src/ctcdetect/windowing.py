@@ -136,6 +136,8 @@ def eventize(frame_tokens, sample_rate_hz: float) -> list[Detection]:
     Every maximal run of one non-blank token becomes a single detection at the
     run's median frame (the lower of the two middles for even runs).
     """
+    if not 0 < sample_rate_hz < math.inf:
+        raise ParameterError(f"sample rate must be in (0, inf), got {sample_rate_hz}")
     tokens = np.asarray(frame_tokens, dtype=np.int64)
     if tokens.size == 0:
         return []

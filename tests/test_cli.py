@@ -334,6 +334,9 @@ MALFORMED = [
                  id="sidecar-string"),
     pytest.param(_sidecar('{"sample_rate_hz": Infinity}'), _DETECT, EXIT_FORMAT,
                  id="sidecar-infinity"),
+    pytest.param(_sidecar('{"sample_rate_hz": true}'), _DETECT, EXIT_FORMAT, id="sidecar-true"),
+    pytest.param(_sidecar('{"sample_rate_hz": "10"}'), _DETECT, EXIT_FORMAT,
+                 id="sidecar-numeric-string"),
     pytest.param(_sidecar('{"sample_rate_hz": 1' + "0" * 400 + "}"), ["decode", "p.csv"],
                  EXIT_FORMAT, id="sidecar-too-large-for-float"),
     pytest.param(_sidecar(b'{"sample_rate_hz": 10\xff}'), ["decode", "p.csv"], EXIT_FORMAT,

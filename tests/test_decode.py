@@ -626,19 +626,25 @@ class TestSearchWindows:
         assert detections == expected
         assert [(d.class_id, d.frame) for d in detections] == MIXED_BATCH_DETECTIONS
 
-    @pytest.mark.parametrize("cpus, max_shares, n_forks", ((2, 2, 1), (3, 2, 1), (3, 3, 2)))
+    @pytest.mark.parametrize("cpus, n_shares, n_forks", ((2, 2, 1), (3, 2, 1)))
     @pytest.mark.parametrize("kind", ("random", "tenths"))
-    def test_shares_match_one_share(self, monkeypatch, cpus, max_shares, n_forks, kind):
-        # the windows go in one share per usable CPU up to _MAX_SHARES, each
-        # but the first searched in a forked worker
+    def test_shares_match_one_share(self, monkeypatch, cpus, n_shares, n_forks, kind):
+        # the windows go in two halves however many CPUs are usable: this
+        # process searches the first, one forked worker the second
         n_windows = 3 * lockstep._MIN_SHARE_WINDOWS
         probs, starts = _windows(n_windows, cpus, kind)
         _use_cpus(monkeypatch, 1)
         one = search_windows(probs, starts, 8, 3)
         forks = _use_cpus(monkeypatch, cpus)
-        monkeypatch.setattr(lockstep, "_MAX_SHARES", max_shares)
+        searched, search_share = [], lockstep._search_share
+
+        def recorded(probs, starts, frames, beam_width):
+            searched.append(len(starts))  # in this process only, not the worker's copy
+            return search_share(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_share", recorded)
         shared = search_windows(probs, starts, 8, 3)
-        assert forks == [os.getpid()] * n_forks
+        assert forks == [os.getpid()] * n_forks and searched == [n_windows // n_shares]
         assert_no_child_left()
         assert shared[0].dtype == one[0].dtype and shared[0].shape == (n_windows, 8)
         assert shared[0].tolist() == one[0].tolist()
@@ -661,13 +667,14 @@ class TestSearchWindows:
     @pytest.mark.parametrize("quota, n_forks", ((None, 1), (1.5, 0), (2.0, 1)))
     def test_cpu_quota_limits_the_shares(self, monkeypatch, quota, n_forks):
         # a quota of under two whole CPUs keeps the search in one process
-        # whatever the affinity mask shows
-        forks = _use_cpus(monkeypatch, 4)
-        monkeypatch.setattr(lockstep, "_quota_cpus", lambda: quota)
+        # whatever the affinity mask shows, and more CPUs fork no more workers
         probs, starts = _windows(SPLIT, 11)
-        alignments, *_ = search_windows(probs, starts, 8, 3)
-        assert len(forks) == n_forks and len(alignments) == SPLIT
-        assert_no_child_left()
+        for cpus in (4, 64):
+            forks = _use_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(lockstep, "_quota_cpus", lambda: quota)
+            alignments, *_ = search_windows(probs, starts, 8, 3)
+            assert len(forks) == n_forks and len(alignments) == SPLIT
+            assert_no_child_left()
 
     @pytest.mark.parametrize(
         "files, quota",

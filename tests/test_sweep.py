@@ -1,8 +1,20 @@
+import numpy as np
 import pytest
 
-from ctcdetect import ParameterError, WindowSpec, gen_synthetic, sweep_beam_width, SyntheticScript
+from ctcdetect import (
+    Alphabet,
+    ParameterError,
+    ProbMatrix,
+    WindowSpec,
+    detect_pipeline,
+    gen_synthetic,
+    sweep_beam_width,
+    SyntheticScript,
+)
+from ctcdetect import sweep
 
 from conftest import D, E
+from oracles import random_stochastic
 
 
 class TestSweepBeamWidth:
@@ -38,3 +50,30 @@ class TestSweepBeamWidth:
         spec = WindowSpec.from_seconds(4.0, 10.0)
         rows = sweep_beam_width(m, worked_alphabet, (1, 3), window_spec=spec, ground_truth=truth)
         assert all(row.f1 == 1.0 for row in rows)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_without_window_spec_one_decode_per_width(self, monkeypatch, seed):
+        # one window over the whole stream votes its own top alignment, so the
+        # sweep eventizes that and runs no second search
+        rng = np.random.default_rng(seed)
+        m = ProbMatrix(random_stochastic(rng, int(rng.integers(1, 60)), 3), 10.0)
+        ab = Alphabet(3)
+        widths = (1, 2, 3, 10)
+        expected = [
+            detect_pipeline(m, WindowSpec(m.frames, max(1, m.frames // 2)), ab, "extended-beam", w)
+            for w in widths
+        ]
+        scored = []
+        evaluate = sweep.evaluate
+
+        def recorded(detections, truth):
+            scored.append(detections)
+            return evaluate(detections, truth)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("detect_pipeline ran")
+
+        monkeypatch.setattr(sweep, "evaluate", recorded)
+        monkeypatch.setattr(sweep, "detect_pipeline", not_called)
+        sweep_beam_width(m, ab, widths, ground_truth=[])
+        assert scored == expected

@@ -156,6 +156,12 @@ class TestEventize:
         detections = eventize((0, E, E, E, E, 0), 1.0)
         assert detections[0].frame == 2
 
+    @pytest.mark.parametrize("rate", (0.0, float("nan"), -1.0, float("inf")))
+    def test_rate_must_be_positive_and_finite(self, rate):
+        # 0 divided by zero; NaN, -1 and inf stamped times of NaN, -1.0 and 0.0
+        with pytest.raises(ParameterError, match="sample rate"):
+            eventize((0, E, E, 0), rate)
+
     def test_one_detection_per_run(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
