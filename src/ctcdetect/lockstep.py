@@ -1,16 +1,29 @@
-"""Extended prefix beam search over all windows of a recording at once.
+"""Extended prefix beam search over all windows of a recording.
 
-search_windows runs decode's extended prefix beam search over all windows of
-a recording together, one frame at a time; detect_pipeline calls it for a
-recording cut into at least 64 windows, and fewer windows, like a single
-stream, go through decode._search one by one. Each window is a column of
-arrays with a row per beam entry, as many rows as the fullest beam holds, so
-the moves, the merge of an extension into its own slot, the prune to each
-window's width best, and the candidate picks with their order tie-break are
-numpy operations along the windows. Each of those is an exact IEEE add,
-compare or sort, so every window gets the bits that _search gives it. The
-log-adds are the exception: numpy's vectorised exp and log1p may round
-differently from math's, which would move masses by their last bit. So every
+search_windows gives each window's top hypothesis, bit for bit what
+decode._search and _hypothesis give for that window alone. The window count
+picks how the windows are searched, and these are the package's only
+window-count rules:
+
+- fewer than _MIN_BATCH_WINDOWS (64): one by one, by decode._search;
+- from 64: together, in lockstep batches of at most about _BATCH_CELLS
+  cells, so that a wide beam keeps its memory bounded;
+- from twice _MIN_SHARE_WINDOWS (448), given two usable CPUs: in two
+  contiguous halves, the parent searching the first and one worker made by
+  os.fork the second, which sends its results back pickled through a pipe.
+
+A window's result does not depend on the path, batch or half that holds
+it, so the rules change no bit.
+
+A batch runs decode's extended prefix beam search over its windows
+together, one frame at a time. Each window is a column of arrays with a row
+per beam entry, as many rows as the fullest beam holds, so the moves, the
+merge of an extension into its own slot, the prune to each window's width
+best, and the candidate picks with their order tie-break are numpy
+operations along the windows. Each of those is an exact IEEE add, compare
+or sort, so every window gets the bits that _search gives it. The log-adds
+are the exception: numpy's vectorised exp and log1p may round differently
+from math's, which would move masses by their last bit. So every
 hi + log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
 differences, and the -inf cases are masked exactly where the scalar code
 branches on them, so no -inf - -inf is formed. A window whose best width + 1
@@ -22,12 +35,6 @@ Alignments are kept as one small backpointer per candidate per frame, its
 source row times n_tokens plus its token, and the top alignments of all
 windows are traced back together; each is checked to collapse to its
 window's top label, as decode._hypothesis checks.
-
-A long recording's windows are split into two contiguous halves, on two
-usable CPUs and for at least twice _MIN_SHARE_WINDOWS windows: the parent
-searches the first half and one worker made by os.fork the second, sending
-its results back pickled through a pipe. A window's result does not depend
-on which batch or half holds it, so the split changes no bit.
 
 The pipeline imports this module when it first decodes by beam, so importing
 the package does not compile it.
@@ -46,14 +53,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import BLANK_ID, TokenSeq
-from .decode import _order_tied, _Trie
+from .core import BLANK_ID, Alphabet, TokenSeq
+from .decode import _hypothesis, _order_tied, _search, _Trie
 from .logspace import NEG_INF, log_matrix
 
 
-def _log1p_exp(d: np.ndarray) -> np.ndarray:
-    """log1p(exp(d)) per element by math's exp and log1p, as the scalar core rounds."""
-    return np.fromiter(map(log1p, map(exp, d.tolist())), float, d.size)
+def _log_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(e^a + e^b) per element, as the scalar core rounds it.
+
+    hi + log1p(exp(lo - hi)) by math's exp and log1p where both parts hold
+    mass, else the one that does; no -inf - -inf is formed.
+    """
+    out = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    both = lo != NEG_INF
+    d = (lo[both] - out[both]).tolist()
+    out[both] += np.fromiter(map(log1p, map(exp, d)), float, len(d))
+    return out
 
 
 class _Nodes:
@@ -152,7 +168,8 @@ class _Lockstep:
         """One frame, ``lp`` holding the windows' log-probabilities, (n_tokens,
         W); returns each candidate's source row * n_tokens + its token."""
         b, r, into, rows, merge = self._moves(lp)
-        pnb, tot = self._log_adds(b, r, into)
+        pnb = _log_add(r, into)
+        tot = _log_add(b, pnb)
         kept = self._prune(tot, rows)
         return self._candidates(lp, kept, b, pnb, merge)
 
@@ -181,20 +198,6 @@ class _Lockstep:
         into = np.where(merges, rows.take(ext), NEG_INF)
         rows.put(ext[merges], NEG_INF)
         return b, r, into, rows, (again, lp_last, merges, ext)
-
-    def _log_adds(self, b, r, into):
-        """p_nb = log(e^r + e^into) and the total log(e^b + e^p_nb) per entry."""
-        # hi + log1p(exp(lo - hi)) where both parts hold mass, else the one
-        # that does; no -inf - -inf is formed
-        pnb = np.maximum(r, into)
-        lo = np.minimum(r, into)
-        both = lo != NEG_INF
-        pnb[both] += _log1p_exp(lo[both] - pnb[both])
-        tot = np.maximum(b, pnb)
-        lo = np.minimum(b, pnb)
-        both = lo != NEG_INF
-        tot[both] += _log1p_exp(lo[both] - tot[both])
-        return pnb, tot
 
     def _prune(self, tot, rows):
         """Each window's width best own slots and extension rows, as in _prune.
@@ -288,6 +291,15 @@ class _Lockstep:
         return back
 
 
+# fewest windows that are searched in lockstep batches. A batch costs about
+# 75 ms per 512 frames however few windows it holds, so with few windows the
+# window-by-window search is faster. On 512-frame windows of the perfbench
+# seed-1 hour recording (2-vCPU Intel Xeon): 1 window took 73-81 ms in the
+# batch against 2-5 ms alone; at 32 windows the batch still lost on some
+# slices at widths 1, 3 and 10; from 64 windows it won on every slice at every
+# width measured, 1 to 200 (CHANGES.md)
+_MIN_BATCH_WINDOWS = 64
+
 # about how many cells one batch of windows may hold: each of its beam entries
 # keeps two backpointers per frame and a few dozen per-frame values per token.
 # The bound holds per process: the parent and the worker run one batch at a
@@ -312,22 +324,19 @@ _MIN_SHARE_WINDOWS = 224
 def search_windows(
     probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int
 ) -> tuple[np.ndarray, list[TokenSeq], np.ndarray, np.ndarray]:
-    """Each window's top hypothesis, the windows searched in lockstep.
+    """Each window's top hypothesis, the windows searched by the module's rules.
 
     Window w covers rows starts[w] to starts[w] + frames of ``probs``.
-    Returns the top alignments as rows of one small-int array, the top
-    labels, and the top label's and alignment's log-probabilities, each bit
-    for bit what _search and _hypothesis give for that window alone.
+    Returns the top alignments as rows of one int array, the top labels, and
+    the top label's and alignment's log-probabilities, each bit for bit what
+    _search and _hypothesis give for that window alone.
 
-    With at least twice _MIN_SHARE_WINDOWS windows and two usable CPUs
-    (_usable_cpus), the windows are split into two contiguous halves: this
-    process searches the first and one forked worker the second. Otherwise
-    this process searches them all and nothing is forked.
-    Every process takes its windows in batches small enough that a wide beam
-    keeps its memory bounded. A worker that fails makes this raise
-    RuntimeError with its traceback, or with its exit code where it sent no
-    whole result; the worker never outlives the call.
+    Where a worker is forked (_usable_cpus counts the CPUs), one that fails
+    makes this raise RuntimeError with its traceback, or with its exit code
+    where it sent no whole result; the worker never outlives the call.
     """
+    if len(starts) < _MIN_BATCH_WINDOWS:
+        return _joined([_search_one(probs[s : s + frames], beam_width) for s in starts.tolist()])
     if len(starts) < 2 * _MIN_SHARE_WINDOWS or _usable_cpus() < 2:
         return _search_share(probs, starts, frames, beam_width)
     own, other = np.array_split(starts, 2)
@@ -444,6 +453,14 @@ def _joined(parts):
         np.concatenate(log_ps),
         np.concatenate(alignment_log_ps),
     )
+
+
+def _search_one(rows: np.ndarray, beam_width: int):
+    """search_windows for one window, by decode._search alone."""
+    n_tokens = rows.shape[1]
+    beams, trie = _search(log_matrix(rows).tolist(), n_tokens, beam_width)
+    top = _hypothesis(beams[0], trie, Alphabet(n_tokens))
+    return [top.alignment], [top.label], [top.log_probability], [top.alignment_log_probability]
 
 
 def _search_batch(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):

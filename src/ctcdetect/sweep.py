@@ -29,8 +29,9 @@ def sweep_beam_width(
 
     The top label is from a whole-stream decode. With ground truth, each
     width's detections are scored event-level: those of the detection
-    pipeline under ``window_spec``, or without one, of that decode's top
-    alignment, which is what one window over the whole stream votes.
+    pipeline under ``window_spec``, or, without one or where one window
+    covers the stream, of that decode's top alignment, which is what one
+    window over the whole stream votes.
     """
     widths = [int(w) for w in widths]
     if not widths:
@@ -41,7 +42,7 @@ def sweep_beam_width(
         top = result.top
         f1 = None
         if ground_truth is not None:
-            if window_spec is None:
+            if window_spec is None or m.frames <= window_spec.window_frames:
                 detections = eventize(top.alignment, m.sample_rate_hz)
             else:
                 detections = detect_pipeline(m, window_spec, alphabet, "extended-beam", width)

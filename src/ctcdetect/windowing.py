@@ -15,19 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
-from .decode import _hypothesis, _search, check_beam_width
-from .logspace import log_matrix
+from .decode import check_beam_width
 
 DECODE_METHODS = ("greedy", "extended-beam")
-
-# fewest windows that the beam decodes in one lockstep batch. The batch costs
-# about 75 ms per 512 frames however few windows it holds, so with few windows
-# the window-by-window search is faster. On 512-frame windows of the perfbench
-# seed-1 hour recording (2-vCPU Intel Xeon): 1 window took 73-81 ms in the
-# batch against 2-5 ms alone; at 32 windows the batch still lost on some
-# slices at widths 1, 3 and 10; from 64 windows it won on every slice at every
-# width measured, 1 to 200 (CHANGES.md)
-_LOCKSTEP_MIN_WINDOWS = 64
 
 
 class CoverageError(ValueError):
@@ -164,12 +154,9 @@ def detect_pipeline(
     """Full recording-to-detections pipeline.
 
     Slides windows, decodes each one's top alignment (greedy or beam),
-    majority-votes the overlaps per frame and eventizes the vote.
-
-    The beam searches 64 or more windows in lockstep batches
-    (lockstep.search_windows), from 448 windows in two shares given two
-    CPUs, the second in a forked worker, memory bounded per process.
-    It is bit for bit the window-by-window search that fewer windows take.
+    majority-votes the overlaps per frame and eventizes the vote. The beam
+    searches the windows by lockstep.search_windows, whose window-count
+    rules change no bit.
 
     Greedy skips the windows: a frame's argmax does not depend on the window
     around it, so every covering window votes the same token and the vote is
@@ -181,19 +168,11 @@ def detect_pipeline(
     check_alphabet(m, alphabet)
     if method == "greedy":
         return eventize(np.argmax(m.probs, axis=1), m.sample_rate_hz)
+    # imported on first use, so that importing the package does not compile it
+    from .lockstep import search_windows
+
     starts = _window_starts(m.frames, spec)
     frames = min(m.frames, spec.window_frames)
-    # the vote reads each window's top alignment alone, so only it is built
-    if len(starts) < _LOCKSTEP_MIN_WINDOWS:
-        alignments = []
-        for start in starts:
-            logs = log_matrix(m.probs[start : start + frames]).tolist()
-            beams, trie = _search(logs, alphabet.size, beam_width)
-            alignments.append(_hypothesis(beams[0], trie, alphabet).alignment)
-    else:
-        # imported on first use, so that importing the package does not compile it
-        from .lockstep import search_windows
-
-        alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
+    alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
     voted = majority_vote(list(zip(starts, alignments)), m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctcdetect import Alphabet, ProbMatrix
+from ctcdetect import Alphabet, ProbMatrix, decode, lockstep
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -37,3 +37,19 @@ def worked_alphabet() -> Alphabet:
 @pytest.fixture(scope="session")
 def worked_matrix(worked_alphabet) -> ProbMatrix:
     return ProbMatrix(WORKED_ROWS, sample_rate_hz=1.0)
+
+
+@pytest.fixture()
+def searches(monkeypatch) -> list:
+    """The frame count of every single-stream beam search the test runs,
+    whichever module calls decode._search."""
+    calls = []
+    for module in (decode, lockstep):
+        search = module._search
+
+        def counted(*args, search=search):
+            calls.append(len(args[0]))
+            return search(*args)
+
+        monkeypatch.setattr(module, "_search", counted)
+    return calls

@@ -212,6 +212,21 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert all(line.endswith("1.000000") for line in lines[1:])
 
+    def test_one_window_searches_once_per_width(self, tmp_path, capsys, searches):
+        # the default 8 s window covers the 40-frame, 10 Hz stream, so each
+        # width's whole-stream search is also its detections' one window
+        probs, gt = _gen_recording(
+            tmp_path, events="E@10,D@28", frames=40, extra=("--noise", "0.5", "--seed", "1")
+        )
+        capsys.readouterr()
+        assert main(["sweep", str(probs), "--widths", "1,3", "--ground-truth", str(gt)]) == EXIT_OK
+        assert searches == [40, 40]
+        assert capsys.readouterr().out.strip().splitlines() == [
+            "beam_width,top_label,top_probability,f1",
+            "1,E D,1.14940027e-07,1.000000",
+            "3,D E E E D D E,3.31009936e-05,0.444444",
+        ]
+
     def test_zero_width(self, worked_csv):
         assert main(["sweep", str(worked_csv), "--widths", "0"]) == EXIT_PARAMETER
 

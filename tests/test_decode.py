@@ -430,12 +430,14 @@ def test_pick_compares_after_the_move():
 def assert_batch_matches_search(m: ProbMatrix, spec: WindowSpec, width: int) -> list:
     """Every window's top hypothesis from the batch is _search's, bit for bit.
 
-    Returns the per-window top hypotheses of _search and _hypothesis.
+    The batch is called directly, since search_windows searches fewer than
+    _MIN_BATCH_WINDOWS windows one by one. Returns the per-window top
+    hypotheses of _search and _hypothesis.
     """
     windows = slide_windows(m, spec)
     frames = windows[0][1].frames
     starts = np.array([start for start, _ in windows])
-    alignments, labels, log_ps, align_log_ps = search_windows(m.probs, starts, frames, width)
+    alignments, labels, log_ps, align_log_ps = lockstep._search_share(m.probs, starts, frames, width)
     assert alignments.shape == (len(windows), frames)
     tops = []
     for i, (_, window) in enumerate(windows):
@@ -546,14 +548,6 @@ class TestSearchWindows:
     def test_pipeline_batches_from_64_windows(self, monkeypatch, n_windows):
         # fewer windows are searched one by one, which is faster for them;
         # both paths give the per-window search's detections
-        batched = []
-        batch = lockstep.search_windows
-
-        def recorded(probs, starts, frames, beam_width):
-            batched.append(len(starts))
-            return batch(probs, starts, frames, beam_width)
-
-        monkeypatch.setattr(lockstep, "search_windows", recorded)
         rng = np.random.default_rng(n_windows)
         m = ProbMatrix(random_stochastic(rng, 8 + 4 * (n_windows - 1), 3), 10.0)
         spec, ab = WindowSpec(8, 4), Alphabet(3)
@@ -561,17 +555,52 @@ class TestSearchWindows:
         assert len(tops) == n_windows
         aligned = [(s, top.alignment) for (s, _), top in zip(slide_windows(m, spec), tops)]
         expected = eventize(majority_vote(aligned, m.frames, ab), m.sample_rate_hz)
+        batched = []
+        batch = lockstep._search_share
+
+        def recorded(probs, starts, frames, beam_width):
+            batched.append(len(starts))
+            return batch(probs, starts, frames, beam_width)
+
+        monkeypatch.setattr(lockstep, "_search_share", recorded)
         assert detect_pipeline(m, spec, ab, "extended-beam", 3) == expected
         assert batched == ([n_windows] if n_windows >= 64 else [])
 
+    @pytest.mark.parametrize("n_windows", (1, lockstep._MIN_BATCH_WINDOWS - 1))
+    @pytest.mark.parametrize("kind", ("random", "tenths", "uniform", "one-hot"))
+    @pytest.mark.parametrize("width", (1, 3, 10))
+    def test_one_by_one_matches_the_batch(self, monkeypatch, n_windows, kind, width):
+        # below _MIN_BATCH_WINDOWS, search_windows searches each window alone
+        probs, starts = _windows(n_windows, width, kind)
+        batch = lockstep._search_share(probs, starts, 8, width)
+        batched = []
+        monkeypatch.setattr(lockstep, "_search_share", lambda *args: batched.append(args))
+        alone = search_windows(probs, starts, 8, width)
+        assert batched == []
+        assert alone[0].shape == (n_windows, 8)
+        assert alone[0].tolist() == batch[0].tolist()
+        assert alone[1] == batch[1]
+        for i in (2, 3):
+            assert [x.hex() for x in alone[i].tolist()] == [x.hex() for x in batch[i].tolist()]
+
     def test_package_import_leaves_the_batch_unloaded(self):
-        # the pipeline imports the batch on first use, so that importing the
-        # package, as every CLI command does, does not compile it
-        code = "import sys, ctcdetect, ctcdetect.cli; print('ctcdetect.lockstep' in sys.modules)"
+        # the pipeline imports the batch on its first beam decode, so that
+        # importing the package, as every CLI command does, and a greedy
+        # detection do not compile it
+        code = (
+            "import sys, numpy, ctcdetect, ctcdetect.cli\n"
+            "print('ctcdetect.lockstep' in sys.modules)\n"
+            "m = ctcdetect.ProbMatrix(numpy.full((40, 3), 1 / 3), 10.0)\n"
+            "spec, ab = ctcdetect.WindowSpec(8, 4), ctcdetect.Alphabet(3)\n"
+            "ctcdetect.detect_pipeline(m, spec, ab, 'greedy')\n"
+            "print('ctcdetect.lockstep' in sys.modules)\n"
+            "ctcdetect.detect_pipeline(m, spec, ab, 'extended-beam')\n"
+            "print('ctcdetect.lockstep' in sys.modules)\n"
+        )
         src = str(Path(decode.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False", "True"]
 
     def test_ten_minute_recording(self):
         # 64 Hz, 8 s windows at half stride: 149 windows of 512 frames

@@ -12,6 +12,7 @@ from ctcdetect import (
     SyntheticScript,
 )
 from ctcdetect import sweep
+from ctcdetect.evaluation import evaluate, prf1
 
 from conftest import D, E
 from oracles import random_stochastic
@@ -77,3 +78,19 @@ class TestSweepBeamWidth:
         monkeypatch.setattr(sweep, "detect_pipeline", not_called)
         sweep_beam_width(m, ab, widths, ground_truth=[])
         assert scored == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("extra", (0, 40))
+    def test_window_over_the_whole_stream_one_search_per_width(self, searches, seed, extra):
+        # a window at least as long as the stream is one window over all of
+        # it, whose vote is the whole-stream decode's top alignment
+        script = SyntheticScript(40, ((E, 10), (D, 28)), noise_level=0.5, seed=seed)
+        m, truth = gen_synthetic(script, Alphabet(3), sample_rate_hz=10.0)
+        ab, widths = Alphabet(3), (1, 2, 3, 10)
+        spec = WindowSpec(40 + extra, 20)
+        rows = sweep_beam_width(m, ab, widths, window_spec=spec, ground_truth=truth)
+        assert searches == [40] * len(widths)
+        assert [row.f1 for row in rows] == [
+            prf1(evaluate(detect_pipeline(m, spec, ab, "extended-beam", w), truth)).f1
+            for w in widths
+        ]
