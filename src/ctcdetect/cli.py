@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -132,26 +133,14 @@ def _cmd_eval(args) -> int:
         for frame, _, name in det_rows
     ]
     counts = evaluate(detections, _truth(gt_rows, alphabet))
-    per_class = {}
-    macro_f1 = []
+    per_class, macro_f1 = {}, []
     for cls in sorted(counts.per_class):
-        c = counts.per_class[cls]
         score = prf1(counts, classes=[cls])
-        per_class[alphabet.name_of(cls)] = {
-            "counts": {"tp": c.tp, "fp1": c.fp1, "fp2": c.fp2, "fp3": c.fp3, "fn": c.fn},
-            "precision": score.precision,
-            "recall": score.recall,
-            "f1": score.f1,
-        }
+        per_class[alphabet.name_of(cls)] = {"counts": asdict(counts.per_class[cls]), **asdict(score)}
         macro_f1.append(score.f1)
-    combined = prf1(counts)
     payload = {
         "classes": per_class,
-        "combined": {
-            "precision": combined.precision,
-            "recall": combined.recall,
-            "f1": combined.f1,
-        },
+        "combined": asdict(prf1(counts)),
         "combined_macro_f1": sum(macro_f1) / len(macro_f1) if macro_f1 else 0.0,
     }
     _emit(args, json.dumps(payload, indent=2))

@@ -19,9 +19,9 @@ A batch runs decode's extended prefix beam search over its windows
 together, one frame at a time. Each window is a column of arrays with a row
 per beam entry, as many rows as the fullest beam holds, so the moves, the
 merge of an extension into its own slot, the prune to each window's width
-best, and the candidate picks with their order tie-break are numpy
-operations along the windows. Each of those is an exact IEEE add, compare
-or sort, so every window gets the bits that _search gives it. The log-adds
+best, and the kept rows' candidate picks with their order tie-break are
+numpy operations along the windows. Each is an exact IEEE add, compare or
+sort, so every window gets the bits that _search gives it. The log-adds
 are the exception: numpy's vectorised exp and log1p may round differently
 from math's, which would move masses by their last bit. So every
 hi + log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
@@ -45,8 +45,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import signal
-import traceback
 import warnings
 from math import exp, log1p
 from pathlib import Path
@@ -129,8 +127,8 @@ class _Lockstep:
     Column w of every array belongs to window w, so each operation runs along
     the windows. The (k, W) arrays hold a beam entry per row, in kept order,
     k being the most entries any window keeps, at most the width; a row past
-    the window's own entry count holds no mass. Per entry: its node, its edge
-    (-1 for the empty prefix), its last token, and p_b, p_nb and their total.
+    the window's own entry count holds no mass. Per entry: its node, and p_b,
+    p_nb and their total; its edge and last token are read from its node.
     Candidates are (2k, W): row 2i is entry i's blank-ending candidate and row
     2i + 1 its non-blank-ending one, with their log-probabilities (-inf where
     there is none) and orders (rank times n_tokens, as in _candidates).
@@ -144,8 +142,6 @@ class _Lockstep:
         self.nodes = _Nodes(w, n)
         # each window's beam holds its empty prefix alone
         self.node = np.arange(1, w + 1)[None, :]
-        self.edge = np.full((1, w), -1, np.int64)
-        self.last = np.full((1, w), BLANK_ID, np.int64)
         self.pb = np.zeros((1, w))
         self.pnb = np.full((1, w), NEG_INF)
         self.tot = self.pb.copy()
@@ -155,8 +151,6 @@ class _Lockstep:
         # a row index r picks element r * W + window of a flattened array
         self.window = np.arange(w)
         self.classes = np.arange(1, n)[:, None]
-        self.row_tokens = np.repeat(np.tile(self.classes, (k, 1)), w, axis=1)
-        self.even = np.arange(0, 2 * k, 2)[:, None]
         self.index = np.repeat(np.arange(2 * k)[:, None], w, axis=1)  # each row's own
         self.nodes.row[self.node[0]] = 0
 
@@ -167,123 +161,122 @@ class _Lockstep:
     def advance(self, lp: np.ndarray) -> np.ndarray:
         """One frame, ``lp`` holding the windows' log-probabilities, (n_tokens,
         W); returns each candidate's source row * n_tokens + its token."""
-        b, r, into, rows, merge = self._moves(lp)
+        last = self.nodes.token.take(self.node)
+        b, r, into, rows, parent = self._moves(lp, last)
         pnb = _log_add(r, into)
         tot = _log_add(b, pnb)
         kept = self._prune(tot, rows)
-        return self._candidates(lp, kept, b, pnb, merge)
+        return self._candidates(lp, last, kept, b, pnb, parent)
 
-    def _moves(self, lp: np.ndarray):
+    def _moves(self, lp: np.ndarray, last: np.ndarray):
         """Blank, repeat and extension masses, with the merges of _search.
 
         Returns the blank and repeat moves onto each entry's own prefix, the
         extension from its parent's entry that merges into it (-inf if none),
-        the extension rows, -inf where merged or massless, and what
-        _candidates needs of the moves.
+        the extension rows, -inf where merged or massless, and each entry's
+        merged parent row, -1 if none merges into it.
         """
-        n = self.n
-        lp_last = lp.take(self._at(self.last))
         b = self.tot + lp[BLANK_ID]
-        r = self.pnb + lp_last
+        r = self.pnb + lp.take(self._at(last))
         # extending with the last token again draws on blank-ending mass alone
-        again = self.last[:, None] == self.classes
+        again = last[:, None] == self.classes
         v = np.where(again, self.pb[:, None], self.tot[:, None]) + lp[1:]
         rows = v.reshape(-1, r.shape[1])
-        # an entry's own slot takes the extension from its parent's entry, if
-        # that is in the beam: the row of the node its edge hangs from
+        # an entry's own slot, if it holds mass, takes the extension from its
+        # parent's entry, if that is in the beam
         nodes = self.nodes
         parent = nodes.row.take(nodes.parent.take(self.node))
-        merges = (parent >= 0) & ((b != NEG_INF) | (r != NEG_INF))
-        ext = self._at(np.maximum(parent, 0) * (n - 1) + self.last - 1)
+        parent[(b == NEG_INF) & (r == NEG_INF)] = -1
+        merges = parent >= 0
+        ext = self._at(np.maximum(parent, 0) * (self.n - 1) + last - 1)
         into = np.where(merges, rows.take(ext), NEG_INF)
         rows.put(ext[merges], NEG_INF)
-        return b, r, into, rows, (again, lp_last, merges, ext)
+        return b, r, into, rows, parent
 
     def _prune(self, tot, rows):
         """Each window's width best own slots and extension rows, as in _prune.
 
-        Sets the kept entries' totals and edges and returns their rows among
-        (own slots, extension rows). Only a window whose best width + 1
-        totals hold an exact tie orders it by tie_keys.
+        Sets the kept entries' totals and returns their rows among (own slots,
+        extension rows). Only a window whose best width + 1 totals hold an
+        exact tie orders it by tie_keys.
         """
-        n = self.n
         mass = np.concatenate((tot, rows))
-        child = self.node[:, None] * n + self.classes
-        edges = np.concatenate((self.edge, child.reshape(rows.shape)))
         k = min(self.width, int((mass != NEG_INF).sum(axis=0).max()))
         ranked = np.argsort(-mass, axis=0)
         head = mass.take(self._at(ranked[: k + 1]))
         tied = (head[1:] == head[:-1]) & (head[1:] != NEG_INF)
         for w in np.flatnonzero(tied.any(axis=0)).tolist():
-            self._order_ties(ranked[:, w], mass[:, w], edges[:, w])
+            self._order_ties(ranked[:, w], mass[:, w], self.node[:, w])
         kept = ranked[:k]
-        self.tot, self.edge = mass.take(self._at(kept)), edges.take(self._at(kept))
+        self.tot = mass.take(self._at(kept))
         return kept
 
-    def _order_ties(self, ranked, mass, edges) -> None:
-        """Put the runs of equal totals that reach the kept part in prefix order."""
+    def _order_ties(self, ranked, mass, node) -> None:
+        """Put the runs of equal totals that reach the kept part in prefix order,
+        by the edges of the window's entry nodes ``node``. A root's edge is 0,
+        its blank below node 0, which orders the keys as _Trie's -1 does."""
+        n, nodes = self.n, self.nodes
+        own = nodes.parent.take(node) * n + nodes.token.take(node)
+        edges = np.concatenate((own, (node[:, None] * n + self.classes.T).ravel()))
         held = ranked[: int((mass != NEG_INF).sum())]
         rows = list(zip(mass[held].tolist(), edges[held].tolist(), held.tolist()))
         n_kept = min(len(rows), self.width)
         _order_tied(rows, n_kept, self.nodes)
         ranked[:n_kept] = [row for _, _, row in rows[:n_kept]]
 
-    def _candidates(self, lp, kept, b, pnb, merge) -> np.ndarray:
+    def _candidates(self, lp, last, kept, b, pnb, parent) -> np.ndarray:
         """Build the kept entries' candidates and move the rest of their state.
 
-        The picks of _candidates, made for every own slot and extension row at
-        once, then taken for the kept ones: of a part's sources, the one that
-        is more probable once moved wins, equal ones going to the smaller
-        order. A part without mass gets -inf, as all of its sources do.
+        The picks of _candidates, for the kept rows alone: of a part's sources,
+        the one that is more probable once moved wins, equal ones going to the
+        smaller order. A part without mass gets -inf, as all of its sources do.
         """
-        again, lp_last, merges, ext = merge
         n, k = self.n, len(self.node)  # k entries before the frame
+        own, ext_row = kept < k, kept - k  # ext_row: its index among extension rows
+        j = np.where(own, kept, 0)  # an own slot's entry
+        at_j = self._at(j)
+        # the entry whose extension reaches the row, and the row's token
+        src = np.where(own, parent.take(at_j), ext_row // (n - 1))
+        token = np.where(own, last.take(at_j), ext_row % (n - 1) + 1)
+        at_s = self._at(np.maximum(src, 0))
         cb, cnb = self.cand[0::2], self.cand[1::2]
         ob, onb = self.order[0::2], self.order[1::2]
-        # blank-ending, per own slot: the entry's two candidates
-        v, w = cb + lp[BLANK_ID], cnb + lp[BLANK_ID]
-        take = (w > v) | (w == v) & (onb < ob)
-        even = self.even[:k]
-        blank = np.where(take, w, v), np.where(take, onb, ob), even + take
-        # non-blank-ending, per extension row: the parent's blank-ending
-        # candidate, or its other one unless the token repeats the parent's last
-        v, w = cb[:, None] + lp[1:], cnb[:, None] + lp[1:]
-        take = ~again & ((w > v) | (w == v) & (onb < ob)[:, None])
-        ext_v = np.where(take, w, v).reshape(-1, v.shape[2])
-        ext_o = np.where(take, onb[:, None], ob[:, None]).reshape(ext_v.shape)
-        ext_s = (even[:, None] + take).reshape(ext_v.shape)
-        # non-blank-ending, per own slot: its repeat, or the merged extension's
-        v, w, o = cnb + lp_last, ext_v.take(ext), ext_o.take(ext)
-        take = merges & ((w > v) | (w == v) & (o < onb))
-        own_v, own_o = np.where(take, w, v), np.where(take, o, onb)
-        own_s = np.where(take, ext_s.take(ext), even + 1)
-
-        own = kept < k
-        at = self._at(kept)
-        at_j = self._at(np.where(own, kept, 0))  # an own slot's entry
-        last = np.concatenate((self.last, self.row_tokens[: len(ext_v)])).take(at)
-        node = self.node.take(at_j)
+        cnb_j, onb_j, even = cnb.take(at_j), onb.take(at_j), 2 * j
+        # blank-ending, for an own slot: its entry's two candidates
+        v, w, o = cb.take(at_j) + lp[BLANK_ID], cnb_j + lp[BLANK_ID], ob.take(at_j)
+        take = (w > v) | (w == v) & (onb_j < o)
+        blank = np.where(own, np.where(take, w, v), NEG_INF)
+        blank_o, blank_s = np.where(take, onb_j, o), even + take
+        # non-blank-ending: the source's blank-ending candidate, or its other
+        # one unless the token repeats the source's last
+        lp_token = lp.take(self._at(token))
+        v, w = cb.take(at_s) + lp_token, cnb.take(at_s) + lp_token
+        o, p = ob.take(at_s), onb.take(at_s)
+        take = (last.take(at_s) != token) & ((w > v) | (w == v) & (p < o))
+        ext, ext_o, ext_s = np.where(take, w, v), np.where(take, p, o), 2 * src + take
+        # or, for an own slot, its repeat
+        v = np.where(own, cnb_j + lp_token, NEG_INF)
+        take = (src >= 0) & ((ext > v) | (ext == v) & (ext_o < onb_j))
+        nb, nb_o = np.where(take, ext, v), np.where(take, ext_o, onb_j) + token
+        nb_s = np.where(take, ext_s, even + 1)
         live = self.tot != NEG_INF
+        node = self.node.take(at_j)
         new = live & ~own
         if new.any():
-            parents = self.node.take(self._at((kept - k) // (n - 1)))
-            node[new] = self.nodes.add(parents[new], last[new])
+            node[new] = self.nodes.add(self.node.take(at_s)[new], token[new])
         self.nodes.row[self.node] = -1
         self.nodes.row[node[live]] = self.index[: len(kept)][live]
         self.pb = np.where(own, b.take(at_j), NEG_INF)
         self.pnb = np.where(own, pnb.take(at_j), self.tot)
-        self.node, self.last = node, last
-
+        self.node = node
         shape, none = (2 * len(kept), len(self.window)), 2 * self.width * n
         cand, order = np.empty(shape), np.empty(shape, np.int64)
         back = np.empty(shape, self.back_dtype)
-        cand[0::2] = cb = np.where(own, blank[0].take(at_j), NEG_INF)
-        cand[1::2] = cnb = np.concatenate((own_v, ext_v)).take(at)
-        order[0::2] = np.where(cb != NEG_INF, blank[1].take(at_j), none)
-        cnb_o = np.concatenate((own_o, ext_o)).take(at) + last
-        order[1::2] = np.where(cnb != NEG_INF, cnb_o, none)
-        back[0::2] = blank[2].take(at_j) * n + BLANK_ID
-        back[1::2] = np.concatenate((own_s, ext_s)).take(at) * n + last
+        cand[0::2], cand[1::2] = blank, nb
+        order[0::2] = np.where(blank != NEG_INF, blank_o, none)
+        order[1::2] = np.where(nb != NEG_INF, nb_o, none)
+        back[0::2] = blank_s * n + BLANK_ID
+        back[1::2] = nb_s * n + token
         # each candidate's order becomes its rank in its window times n
         rank = np.empty_like(order)
         rank.put(self._at(np.argsort(order, axis=0, kind="stable")), self.index[: len(order)])
@@ -350,6 +343,7 @@ def search_windows(
             data = pipe.read()
     finally:
         if data is None:  # this process failed: the worker's result is not wanted
+            import signal  # here, as only a forked search uses it
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         try:
@@ -423,6 +417,7 @@ def _fork_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: 
                 try:
                     outcome = True, _search_share(probs, starts, frames, beam_width)
                 except Exception:
+                    import traceback  # here, as only a failed worker uses it
                     outcome = False, traceback.format_exc()
                 pickle.dump(outcome, pipe)
             status = 0

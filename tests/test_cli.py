@@ -404,3 +404,56 @@ def test_malformed_input_exit_code(tmp_path, monkeypatch, capsys, files, argv, c
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("ctcdetect: ") and "Traceback" not in err
+
+
+# eval's exact output for a small two-class case with every kind of count:
+# E has a hit, a second detection in its event (fp1), one inside a D event
+# (fp3) and a miss; D a hit, one outside every event (fp2) and a miss
+EVAL_TEXT = """\
+{
+  "classes": {
+    "D": {
+      "counts": {
+        "tp": 1,
+        "fp1": 0,
+        "fp2": 1,
+        "fp3": 0,
+        "fn": 1
+      },
+      "precision": 0.5,
+      "recall": 0.5,
+      "f1": 0.5
+    },
+    "E": {
+      "counts": {
+        "tp": 1,
+        "fp1": 1,
+        "fp2": 0,
+        "fp3": 1,
+        "fn": 1
+      },
+      "precision": 0.3333333333333333,
+      "recall": 0.5,
+      "f1": 0.4
+    }
+  },
+  "combined": {
+    "precision": 0.4,
+    "recall": 0.5,
+    "f1": 0.4444444444444445
+  },
+  "combined_macro_f1": 0.45
+}
+"""
+
+
+def test_eval_output_text(tmp_path, monkeypatch, capsys):
+    (tmp_path / "d.csv").write_text(
+        "frame,time_s,class\n2,0.2,E\n3,0.3,E\n12,1.2,E\n22,2.2,D\n30,3.0,D\n"
+    )
+    (tmp_path / "g.csv").write_text(
+        "start_frame,end_frame,class\n0,5,E\n10,15,D\n20,25,D\n40,45,E\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(_EVAL) == EXIT_OK
+    assert capsys.readouterr().out == EVAL_TEXT

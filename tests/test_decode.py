@@ -528,6 +528,11 @@ class TestSearchWindows:
             for n_tokens in (2, 3, 4):
                 m = ProbMatrix(_window_rows(kind, rng, frames, n_tokens), 10.0)
                 assert_batch_matches_search(m, spec, width)
+        # six tokens: extension rows come five to an entry, so that an entry
+        # or token misread from a row's index shows
+        for frames, spec in geometries:
+            assert_batch_matches_search(ProbMatrix(_window_rows(kind, rng, frames, 6), 10.0),
+                                        spec, width)
 
     def test_windows_in_batches(self, monkeypatch):
         # a budget this small puts two windows in each batch, the last one alone
@@ -586,7 +591,8 @@ class TestSearchWindows:
     def test_package_import_leaves_the_batch_unloaded(self):
         # the pipeline imports the batch on its first beam decode, so that
         # importing the package, as every CLI command does, and a greedy
-        # detection do not compile it
+        # detection do not compile it; only a forked search needs signal and
+        # traceback, so a beam detection of fewer windows loads neither
         code = (
             "import sys, numpy, ctcdetect, ctcdetect.cli\n"
             "print('ctcdetect.lockstep' in sys.modules)\n"
@@ -596,11 +602,12 @@ class TestSearchWindows:
             "print('ctcdetect.lockstep' in sys.modules)\n"
             "ctcdetect.detect_pipeline(m, spec, ab, 'extended-beam')\n"
             "print('ctcdetect.lockstep' in sys.modules)\n"
+            "print('signal' in sys.modules, 'traceback' in sys.modules)\n"
         )
         src = str(Path(decode.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.split() == ["False", "False", "True"]
+        assert out.stdout.split() == ["False", "False", "True", "False", "False"]
 
     def test_ten_minute_recording(self):
         # 64 Hz, 8 s windows at half stride: 149 windows of 512 frames
@@ -639,9 +646,9 @@ class TestSearchWindows:
         walked = []
         order_ties = lockstep._Lockstep._order_ties
 
-        def recorded(self, ranked, mass, edges):
+        def recorded(self, ranked, mass, node):
             walked.append(len(mass))
-            order_ties(self, ranked, mass, edges)
+            order_ties(self, ranked, mass, node)
 
         monkeypatch.setattr(lockstep._Lockstep, "_order_ties", recorded)
         tops = assert_batch_matches_search(m, spec, 3)
