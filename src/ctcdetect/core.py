@@ -40,12 +40,13 @@ TokenSeq = tuple[int, ...]
 def is_class_name(name: str) -> bool:
     """Whether a class may take ``name``.
 
-    It must be non-empty, not the blank's name, and hold no comma and no
-    whitespace: commas separate the names of ``loss --label`` and the fields
-    of ``sweep`` rows, ``loss --label`` strips the space around each name,
+    It must be non-empty, not the blank's name, printable (no control or
+    whitespace character but the space), and hold no comma or space: commas
+    separate the names of ``loss --label`` and the fields of ``sweep`` rows,
     and ``sweep`` joins a label's names with spaces.
     """
-    return name not in ("", BLANK_NAME) and "," not in name and not any(map(str.isspace, name))
+    return (name not in ("", BLANK_NAME) and name.isprintable()
+            and "," not in name and " " not in name)
 
 
 class DataError(ValueError):

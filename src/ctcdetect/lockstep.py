@@ -10,7 +10,8 @@ window-count rules:
   cells, so that a wide beam keeps its memory bounded;
 - from twice _MIN_SHARE_WINDOWS (448), given two usable CPUs: in two
   contiguous halves, the parent searching the first and one worker made by
-  os.fork the second, which sends its results back pickled through a pipe.
+  os.fork the second, which sends its results back pickled through a pipe;
+  if the worker fails, the parent searches the second half too.
 
 A window's result does not depend on the path, batch or half that holds
 it, so the rules change no bit.
@@ -325,8 +326,9 @@ def search_windows(
     _search and _hypothesis give for that window alone.
 
     Where a worker is forked (_usable_cpus counts the CPUs), one that fails
-    makes this raise RuntimeError with its traceback, or with its exit code
-    where it sent no whole result; the worker never outlives the call.
+    or dies sends no whole result, and this process searches its windows
+    itself; so the result, or the exception, is that of one share, and the
+    worker never outlives the call.
     """
     if len(starts) < _MIN_BATCH_WINDOWS:
         return _joined([_search_one(probs[s : s + frames], beam_width) for s in starts.tolist()])
@@ -346,17 +348,13 @@ def search_windows(
             import signal  # here, as only a forked search uses it
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
-        try:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        except ChildProcessError:  # the kernel reaped it, as while SIGCHLD is ignored
-            code = "unknown"
+        with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
+            os.waitpid(pid, 0)
     try:
-        done, result = pickle.loads(data)
-    except Exception:  # nothing, or a result cut short by the worker's death
-        done, result = False, f"no result, exit code {code}"
-    if not done:
-        raise RuntimeError(f"a forked window search failed: {result}")
-    return _joined([first, result])
+        second = pickle.loads(data)
+    except Exception:  # the worker failed or died: nothing, or a result cut short
+        second = _search_share(probs, other, frames, beam_width)
+    return _joined([first, second])
 
 
 def _usable_cpus() -> int:
@@ -391,8 +389,9 @@ def _quota_cpus(root: Path = Path("/sys/fs/cgroup")) -> float | None:
 
 
 def _fork_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):
-    """Fork a worker that searches ``starts`` and pickles the outcome into a
-    pipe; returns its pid and the pipe's read end."""
+    """Fork a worker that searches ``starts`` and pickles the result into a
+    pipe, exiting non-zero if anything fails; returns its pid and the pipe's
+    read end."""
     read, write = os.pipe()
     try:
         # Python 3.12 and later warn on a fork while another thread runs, as
@@ -410,20 +409,14 @@ def _fork_share(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: 
         os.close(write)
         raise
     if pid == 0:
-        status = 1
         try:
             os.close(read)
             with open(write, "wb") as pipe:
-                try:
-                    outcome = True, _search_share(probs, starts, frames, beam_width)
-                except Exception:
-                    import traceback  # here, as only a failed worker uses it
-                    outcome = False, traceback.format_exc()
-                pickle.dump(outcome, pipe)
-            status = 0
+                pickle.dump(_search_share(probs, starts, frames, beam_width), pipe)
+            os._exit(0)
         finally:
             # no atexit hooks, and no flush of stdio buffers the parent holds
-            os._exit(status)
+            os._exit(1)
     os.close(write)
     return pid, open(read, "rb")
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +28,12 @@ WORKED_ROWS = np.array(
 )
 
 E, D = 1, 2
+
+
+def assert_no_child_left() -> None:
+    """No forked worker of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

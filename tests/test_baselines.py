@@ -193,6 +193,11 @@ class TestThresholdDetect:
         detections = threshold_detect(series, self.RATE, self.PARAMS)
         assert [d.frame for d in detections] == [50, 120]
 
+    @pytest.mark.parametrize("series", [np.zeros(0), np.zeros((4, 2))], ids=["empty", "2-d"])
+    def test_series_must_be_non_empty_and_1d(self, series):
+        with pytest.raises(ParameterError, match="^expected a non-empty 1-D velocity series$"):
+            threshold_detect(series, self.RATE, self.PARAMS)
+
     def test_spacing_at_least_lockout(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -213,3 +218,8 @@ class TestGridSearch:
         )
         assert score.f1 == 1.0
         assert params.t1 == 25.0 and params.t2 == -25.0
+
+    def test_empty_grid_rejected(self):
+        series = _pulse_series(20, {5: 30.0})
+        with pytest.raises(ParameterError, match="^empty parameter grid$"):
+            grid_search_threshold_params(series, 10.0, [], (25.0,), (-25.0,), (), (1.0,))

@@ -1,13 +1,15 @@
 import json
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from ctcdetect import Alphabet, ProbMatrix
+from ctcdetect import Alphabet, ProbMatrix, lockstep
 from ctcdetect.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_PARAMETER, main
-from ctcdetect.io import read_detections_csv, write_prob_csv
+from ctcdetect.io import read_detections_csv, read_gt_csv, write_prob_csv
 
-from conftest import WORKED_ROWS
+from conftest import WORKED_ROWS, assert_no_child_left
 
 
 @pytest.fixture()
@@ -123,6 +125,36 @@ class TestDetectAndEval:
         assert payload["combined"]["f1"] == 1.0
         assert payload["classes"]["E"]["counts"]["tp"] == 1
 
+    def test_killed_worker_leaves_the_detections_as_one_share(self, tmp_path, monkeypatch):
+        # 448 windows of 8 frames at stride 4 go in two shares given two CPUs;
+        # a worker killed (say by the OOM killer) costs time, not the output
+        probs, _ = _gen_recording(tmp_path, frames=1796, rate=1.0, extra=("--noise", "0.3"))
+        monkeypatch.setattr(lockstep, "_quota_cpus", lambda: None)
+        parent, search_share, fork = os.getpid(), lockstep._search_share, os.fork
+        forks = []
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return search_share(*args)
+
+        def counted():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(lockstep, "_search_share", killed)
+        monkeypatch.setattr(os, "fork", counted)
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"dets{cpus}.csv"
+            detect = ["detect", str(probs), "--window-s", "8", "--stride-s", "4"]
+            assert main([*detect, "--output", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert forks == [parent] and written[0] == written[1]
+        assert_no_child_left()
+
     def test_detect_requires_rate(self, tmp_path, worked_alphabet):
         # a probability CSV without sidecar and no flag cannot be windowed
         path = tmp_path / "bare.csv"
@@ -237,6 +269,10 @@ class TestGenCommand:
         first = a.read_text()
         b, _ = _gen_recording(tmp_path, extra=("--noise", "0.3", "--seed", "7"))
         assert b.read_text() == first
+
+    def test_empty_event_parts_skipped(self, tmp_path):
+        _, gt = _gen_recording(tmp_path, events="E@20,,D@60,")
+        assert read_gt_csv(gt) == [(19, 21, "E"), (59, 61, "D")]
 
     def test_overlapping_events_rejected(self, tmp_path):
         code = main(
@@ -390,6 +426,17 @@ MALFORMED = [
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-class-named-blank"),
     pytest.param({}, ["gen", "--frames", "10", "--classes", "E,a b", "--sample-rate-hz", "10",
                       "--output", "g.csv"], EXIT_PARAMETER, id="gen-class-with-space"),
+    pytest.param({}, ["gen", "--frames", "10", "--events", "E10", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-event-without-frame"),
+    pytest.param({}, ["gen", "--frames", "10", "--sample-rate-hz", "10", "--output", "g.csv"],
+                 EXIT_PARAMETER, id="gen-no-classes"),
+    pytest.param({}, ["gen", "--frames", "0", "--classes", "E", "--sample-rate-hz", "10",
+                      "--output", "g.csv"], EXIT_PARAMETER, id="gen-frames-zero"),
+    pytest.param({}, ["gen", "--frames", "10", "--classes", "E", "--spike-width", "0",
+                      "--sample-rate-hz", "10", "--output", "g.csv"], EXIT_PARAMETER,
+                 id="gen-spike-width-zero"),
+    pytest.param({"d.csv": "frame,time_s,class\n", "g.csv": "start_frame,end_frame,class\n"},
+                 _EVAL, EXIT_PARAMETER, id="eval-no-classes"),
 ]
 
 

@@ -55,6 +55,20 @@ class TestAlphabet:
         with pytest.raises(ParameterError):
             Alphabet.from_names(("E", name))
 
+    @pytest.mark.parametrize("name", ["a\x00b", "a\x7fb"])
+    def test_class_name_with_control_character_rejected(self, name):
+        # csv cannot write a NUL on every Python, and a file could not show it
+        with pytest.raises(ParameterError):
+            Alphabet.from_names(("E", name))
+
+    def test_repeated_class_name_rejected(self):
+        with pytest.raises(ParameterError, match="^class names must be unique$"):
+            Alphabet.from_names(("E", "E"))
+
+    def test_unnamed_alphabet_has_no_class_ids(self):
+        with pytest.raises(ParameterError, match="^alphabet has no class names$"):
+            Alphabet(3).id_of("E")
+
     def test_name_round_trip(self):
         ab = Alphabet.from_names(("eat", "drink"))
         assert ab.size == 3
@@ -129,6 +143,12 @@ class TestProbMatrix:
             ProbMatrix(rows)
         with pytest.raises(NormalizationError):
             validate_prob_matrix(rows, renormalize=True)
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (3, 1)])
+    def test_shape_must_be_frames_by_tokens(self, shape):
+        # one axis, no frame, or no class column
+        with pytest.raises(ParameterError, match=r"^expected a \(frames, tokens>=2\) matrix"):
+            ProbMatrix(np.full(shape, 1.0), 1.0)
 
     def test_renormalize_within_tolerance(self):
         m = validate_prob_matrix([[0.3334, 0.3333, 0.3333]], renormalize=True)

@@ -60,6 +60,17 @@ class TestEvaluate:
         with pytest.raises(OrderingError):
             evaluate(_dets((E, 15), (E, 12)), FIXTURE_TRUTH)
 
+    def test_unsorted_truth_rejected(self):
+        with pytest.raises(ParameterError, match="must be sorted by start frame"):
+            evaluate([], [GroundTruthEvent(E, 30, 40), GroundTruthEvent(D, 10, 20)])
+
+    @pytest.mark.parametrize(
+        "args, message", [((0, 1, 2), "not blank"), ((E, 5, 2), "^event start 5 after end 2$")]
+    )
+    def test_truth_event_needs_a_class_and_a_forward_interval(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            GroundTruthEvent(*args)
+
     def test_overlapping_truth_rejected(self):
         with pytest.raises(ParameterError):
             evaluate([], [GroundTruthEvent(E, 10, 20), GroundTruthEvent(D, 15, 25)])

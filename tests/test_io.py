@@ -114,6 +114,14 @@ class TestProbCsv:
         with pytest.raises(FormatError):
             read_prob_csv(path)
 
+    @pytest.mark.parametrize("name", ["a\x00b", "a\x7fb"])
+    def test_class_name_with_control_character_rejected(self, tmp_path, name):
+        # on Python 3.10 csv itself rejects a NUL, in either reader
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,p_blank,p_{name}\n0,0.5,0.5\n")
+        with pytest.raises(FormatError):
+            read_prob_csv(path)
+
     def test_bad_value_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,p_blank,p_E\n0,0.5,0.5\n1,oops,0.5\n")

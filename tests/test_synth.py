@@ -34,6 +34,10 @@ class TestScriptValidation:
         with pytest.raises(ScriptError):
             script.extents()
 
+    def test_event_class_must_not_be_blank(self):
+        with pytest.raises(ScriptError, match="^event class ids must be >= 1, got 0$"):
+            SyntheticScript(total_frames=50, events=((0, 10),))
+
     def test_mode_and_noise_validated(self):
         with pytest.raises(ParameterError):
             SyntheticScript(total_frames=10, events=(), mode="wavy")

@@ -125,6 +125,10 @@ class TestMajorityVote:
         with pytest.raises(InvalidTokenError):
             majority_vote([(0, (token, 0))], 2, worked_alphabet)
 
+    def test_alignment_past_the_recording_raises(self, worked_alphabet):
+        with pytest.raises(ParameterError, match=r"^alignment at 5 \(\+2\) falls outside 6"):
+            majority_vote([(5, (0, 1))], 6, worked_alphabet)
+
     def test_uncovered_frame_raises(self, worked_alphabet):
         with pytest.raises(CoverageError):
             majority_vote([(0, (E,))], 2, worked_alphabet)
