@@ -167,11 +167,8 @@ def _cmd_baseline_threshold(args) -> int:
 def _cmd_sweep(args) -> int:
     m, alphabet = _load_probs(args, require_rate=args.ground_truth is not None)
     widths = [int(w) for w in args.widths.split(",") if w.strip()]
-    truth = None
-    spec = None
-    if args.ground_truth:
-        truth = _truth(fileio.read_gt_csv(args.ground_truth), alphabet)
-        spec = WindowSpec.from_seconds(args.window_s, m.sample_rate_hz, args.stride_s)
+    truth = _truth(fileio.read_gt_csv(args.ground_truth), alphabet) if args.ground_truth else None
+    spec = WindowSpec.from_seconds(args.window_s, m.sample_rate_hz, args.stride_s)
     rows = sweep_beam_width(m, alphabet, widths, window_spec=spec, ground_truth=truth)
     lines = ["beam_width,top_label,top_probability,f1"]
     for row in rows:
@@ -298,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prob_input(p)
     p.add_argument("--widths", default="1,2,3,5", help="comma-separated beam widths")
     p.add_argument("--ground-truth", default=None, help="optional ground-truth CSV for F1")
-    p.add_argument("--window-s", type=float, default=8.0)
-    p.add_argument("--stride-s", type=float, default=None)
+    p.add_argument("--window-s", type=float, default=8.0, help="takes effect only with --ground-truth")
+    p.add_argument("--stride-s", type=float, default=None, help="takes effect only with --ground-truth")
     p.add_argument("--output", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
 

@@ -37,18 +37,6 @@ ROW_SUM_RENORM_ATOL = 1e-3
 TokenSeq = tuple[int, ...]
 
 
-def is_class_name(name: str) -> bool:
-    """Whether a class may take ``name``.
-
-    It must be non-empty, not the blank's name, printable (no control or
-    whitespace character but the space), and hold no comma or space: commas
-    separate the names of ``loss --label`` and the fields of ``sweep`` rows,
-    and ``sweep`` joins a label's names with spaces.
-    """
-    return (name not in ("", BLANK_NAME) and name.isprintable()
-            and "," not in name and " " not in name)
-
-
 class DataError(ValueError):
     """Outside data (a file's contents, a class name) is malformed."""
 
@@ -63,6 +51,22 @@ class NormalizationError(DataError):
 
 class ParameterError(ValueError):
     """A caller-supplied parameter violates its documented constraints."""
+
+
+def check_class_name(name: str) -> str:
+    """``name`` if a class may take it, else ParameterError.
+
+    It must be non-empty, not the blank's name, printable (no control or
+    whitespace character but the space), and hold no comma or space: commas
+    separate the names of ``loss --label`` and the fields of ``sweep`` rows,
+    and ``sweep`` joins a label's names with spaces.
+    """
+    if name in ("", BLANK_NAME) or not name.isprintable() or "," in name or " " in name:
+        raise ParameterError(
+            f"class name {name!r} must be non-empty, not {BLANK_NAME!r}, printable"
+            " and hold no comma or space"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -88,11 +92,8 @@ class Alphabet:
                 raise ParameterError(f"expected {self.size - 1} class names, got {len(names)}")
             if len(set(names)) != len(names):
                 raise ParameterError("class names must be unique")
-            if not all(map(is_class_name, names)):
-                raise ParameterError(
-                    f"class names must be non-empty, not {BLANK_NAME!r}"
-                    " and hold no comma or whitespace"
-                )
+            for name in names:
+                check_class_name(name)
 
     def validate_token(self, token: int) -> None:
         if not 0 <= token < self.size:
@@ -129,14 +130,14 @@ class ProbMatrix:
     entry must lie in [0, 1] (NaN and infinities raise NormalizationError) and
     every row must sum to 1 within ``ROW_SUM_ATOL``; use
     :func:`validate_prob_matrix` to build one from unchecked rows. The
-    sample rate must be finite and positive. The underlying array is frozen.
+    sample rate must be finite and positive. It holds a frozen copy of ``probs``.
     """
 
     probs: np.ndarray
     sample_rate_hz: float = 1.0
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
+        arr = np.array(self.probs, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ParameterError(f"expected a (frames, tokens>=2) matrix, got shape {arr.shape}")
         if not 0 < self.sample_rate_hz < math.inf:
@@ -153,7 +154,6 @@ class ProbMatrix:
             raise NormalizationError(
                 f"row {bad[0]} sums to {sums[bad[0]]:.9f}, expected 1 +/- {ROW_SUM_ATOL}"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 

@@ -48,22 +48,22 @@ def _check_label(label, alphabet: Alphabet) -> TokenSeq:
     return label
 
 
-def _check_oracle_scale(n_frames: int, n_tokens: int) -> None:
+def _matching_alignments_array(label, n_frames: int, alphabet: Alphabet) -> np.ndarray:
+    """All alignments of length n_frames collapsing to label, as an int array.
+
+    Checks the label, then the oracle scale guard. Walks the full
+    alphabet**n_frames space in lexicographic order, in chunks, and keeps rows
+    whose non-blank run heads spell the label. A run head is a frame holding a
+    non-blank token that differs from the previous frame's token; the run
+    heads of an alignment, in order, are exactly its collapse.
+    """
+    label = _check_label(label, alphabet)
+    n_tokens = alphabet.size
     if n_frames > MAX_ORACLE_FRAMES or n_tokens**n_frames > MAX_ORACLE_SPACE:
         raise OracleSizeError(
             f"{n_tokens}^{n_frames} alignments exceed the oracle guard "
             f"(frames <= {MAX_ORACLE_FRAMES}, space <= 2^24)"
         )
-
-
-def _matching_alignments_array(label: TokenSeq, n_frames: int, n_tokens: int) -> np.ndarray:
-    """All alignments of length n_frames collapsing to label, as an int array.
-
-    Walks the full n_tokens**n_frames space in lexicographic order, in chunks,
-    and keeps rows whose non-blank run heads spell the label. A run head is a
-    frame holding a non-blank token that differs from the previous frame's
-    token; the run heads of an alignment, in order, are exactly its collapse.
-    """
     shape = (n_tokens,) * n_frames
     total = n_tokens**n_frames
     lab = np.asarray(label, dtype=np.int64)
@@ -92,9 +92,7 @@ def enumerate_alignments(label, n_frames: int, alphabet: Alphabet) -> list[Token
     beyond the scale guard. The returned list is in lexicographic order and
     may be empty (e.g. two equal adjacent labels cannot fit in two frames).
     """
-    label = _check_label(label, alphabet)
-    _check_oracle_scale(n_frames, alphabet.size)
-    rows = _matching_alignments_array(label, n_frames, alphabet.size)
+    rows = _matching_alignments_array(label, n_frames, alphabet)
     return [tuple(int(t) for t in row) for row in rows]
 
 
@@ -110,9 +108,7 @@ def prob_brute_force(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     Returns 0.0 when no alignment exists. Subject to the oracle scale guard.
     """
     check_alphabet(m, alphabet)
-    label = _check_label(label, alphabet)
-    _check_oracle_scale(m.frames, alphabet.size)
-    rows = _matching_alignments_array(label, m.frames, alphabet.size)
+    rows = _matching_alignments_array(label, m.frames, alphabet)
     return float(np.exp(log_sum(_alignment_log_probs(m, rows))))  # log_sum of none is log 0
 
 
@@ -126,11 +122,10 @@ def best_alignment_brute_force(
     Raises NoAlignmentError when the label cannot be embedded at all.
     """
     check_alphabet(m, alphabet)
-    label = _check_label(label, alphabet)
-    _check_oracle_scale(m.frames, alphabet.size)
-    rows = _matching_alignments_array(label, m.frames, alphabet.size)
+    label = tuple(label)  # read twice, so it may not be an iterator
+    rows = _matching_alignments_array(label, m.frames, alphabet)
     if rows.shape[0] == 0:
-        raise NoAlignmentError(f"label {label} has no alignment in {m.frames} frames")
+        raise NoAlignmentError(f"label {tuple(map(int, label))} has no alignment in {m.frames} frames")
     scores = _alignment_log_probs(m, rows)
     best = int(np.argmax(scores))
     return tuple(int(t) for t in rows[best]), float(np.exp(scores[best]))

@@ -15,7 +15,7 @@ false-positive kind.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import BLANK_ID, DataError, ParameterError
 from .windowing import Detection
@@ -51,13 +51,7 @@ class ClassCounts:
     fn: int = 0
 
     def __add__(self, other: "ClassCounts") -> "ClassCounts":
-        return ClassCounts(
-            self.tp + other.tp,
-            self.fp1 + other.fp1,
-            self.fp2 + other.fp2,
-            self.fp3 + other.fp3,
-            self.fn + other.fn,
-        )
+        return ClassCounts(*(getattr(self, f.name) + getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass

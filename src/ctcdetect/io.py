@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Alphabet, DataError, ProbMatrix, is_class_name, validate_prob_matrix
+from .core import Alphabet, DataError, ProbMatrix, check_class_name, validate_prob_matrix
 from .evaluation import GroundTruthEvent
 from .windowing import Detection
 
@@ -101,14 +101,6 @@ def _finite(field: str) -> float:
     return value
 
 
-def _class(field: str) -> str:
-    if not is_class_name(field):
-        raise ValueError(
-            f"class name {field!r} is empty, the blank's name or holds a comma or whitespace"
-        )
-    return field
-
-
 def _write_table(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -163,9 +155,12 @@ def _prob_class_names(path, header: list[str]) -> list[str]:
         )
     names = []
     for col in header[2:]:
-        if not col.startswith("p_") or not is_class_name(col[2:]) or col[2:] in names:
-            raise FormatError(f"{path}: bad, reserved or repeated probability column {col!r}")
-        names.append(col[2:])
+        if not col.startswith("p_") or col[2:] in names:
+            raise FormatError(f"{path}: bad or repeated probability column {col!r}")
+        try:
+            names.append(check_class_name(col[2:]))
+        except ValueError as exc:
+            raise FormatError(f"{path}: probability column {col!r}: {exc}") from None
     return names
 
 
@@ -253,7 +248,7 @@ def write_detections_csv(path, detections: list[Detection], alphabet: Alphabet) 
 
 def read_detections_csv(path) -> list[tuple[int, float, str]]:
     """Detections as (frame, time_s, class_name) rows, in file order."""
-    return _read_table(path, ("frame", "time_s", "class"), _frame, _finite, _class)
+    return _read_table(path, ("frame", "time_s", "class"), _frame, _finite, check_class_name)
 
 
 def write_gt_csv(path, events: list[GroundTruthEvent], alphabet: Alphabet) -> None:
@@ -269,7 +264,7 @@ def read_gt_csv(path) -> list[tuple[int, int, str]]:
 
     Each interval must run forward and no two may share a frame.
     """
-    rows = _read_table(path, ("start_frame", "end_frame", "class"), _frame, _frame, _class)
+    rows = _read_table(path, ("start_frame", "end_frame", "class"), _frame, _frame, check_class_name)
     for lineno, (start, end, _) in enumerate(rows, start=2):
         if start > end:
             raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")

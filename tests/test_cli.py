@@ -325,6 +325,8 @@ MALFORMED = [
                  id="class-column-name-with-space"),
     pytest.param({"p.csv": "t,p_blank,p_E \n0,0.5,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="class-column-name-with-trailing-space"),
+    pytest.param({"p.csv": "t,p_blank,p_a\x01b\n0,0.5,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
+                 id="class-column-name-with-control-character"),
     pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5\n1,1.0\n"}, ["decode", "p.csv"],
                  EXIT_FORMAT, id="probability-row-short"),
     pytest.param({"p.csv": "t,p_blank,p_E\n0,0.5,0.5,0.0\n"}, ["decode", "p.csv"], EXIT_FORMAT,
@@ -347,6 +349,8 @@ MALFORMED = [
                  EXIT_FORMAT, id="detection-class-with-comma"),
     pytest.param({"d.csv": "frame,time_s,class\n4,0.4,a\tb\n", "g.csv": _GT}, _EVAL,
                  EXIT_FORMAT, id="detection-class-with-tab"),
+    pytest.param({"d.csv": "frame,time_s,class\n4,0.4,a\x01b\n", "g.csv": _GT}, _EVAL,
+                 EXIT_FORMAT, id="detection-class-with-control-character"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,_\n"}, _EVAL,
                  EXIT_FORMAT, id="ground-truth-class-named-blank"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,\n"}, _EVAL,
@@ -355,6 +359,8 @@ MALFORMED = [
                  EXIT_FORMAT, id="ground-truth-class-with-comma"),
     pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,a b\n"}, _EVAL,
                  EXIT_FORMAT, id="ground-truth-class-with-space"),
+    pytest.param({"d.csv": _DETS, "g.csv": "start_frame,end_frame,class\n0,5,a\x01b\n"}, _EVAL,
+                 EXIT_FORMAT, id="ground-truth-class-with-control-character"),
     pytest.param({"p.csv": b"t,p_blank,p_E\n0,0.5\xff,0.5\n"}, ["decode", "p.csv"], EXIT_FORMAT,
                  id="csv-not-utf8"),
     pytest.param({"p.csv": 't,p_blank,p_E\n0,0.5,"' + "1" * 200_000 + '"\n'}, ["decode", "p.csv"],
@@ -404,6 +410,10 @@ MALFORMED = [
     pytest.param(_RATED, _DETECT + ["--stride-s", "inf"], EXIT_PARAMETER, id="stride-inf"),
     pytest.param(_RATED, _DETECT + ["--window-s", "0"], EXIT_PARAMETER, id="window-zero"),
     pytest.param(_RATED, _DETECT + ["--stride-s", "-3"], EXIT_PARAMETER, id="stride-negative"),
+    pytest.param(_RATED, ["sweep", "p.csv", "--widths", "1,3", "--window-s", "nan"],
+                 EXIT_PARAMETER, id="sweep-window-nan"),
+    pytest.param(_RATED, ["sweep", "p.csv", "--widths", "1,3", "--stride-s", "-5"],
+                 EXIT_PARAMETER, id="sweep-stride-negative"),
     pytest.param(_RATED, ["baseline", "two-stage", "p.csv", "--min-dist-s", "nan",
                           "--output", "o.csv"], EXIT_PARAMETER, id="min-dist-nan"),
     pytest.param({"v.csv": "t,roll_dps\n0,1.0\n"}, _THRESHOLD + ["--t1", "nan"], EXIT_PARAMETER,

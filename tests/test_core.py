@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from ctcdetect import (
     prob_forward,
     validate_prob_matrix,
 )
+from ctcdetect.core import check_class_name
 
 from conftest import D, E, WORKED_ROWS
 
@@ -59,6 +62,14 @@ class TestAlphabet:
     def test_class_name_with_control_character_rejected(self, name):
         # csv cannot write a NUL on every Python, and a file could not show it
         with pytest.raises(ParameterError):
+            Alphabet.from_names(("E", name))
+
+    @pytest.mark.parametrize("name", ["", "_", "a,b", "a b", "a\x00b", "a\x7fb"])
+    def test_rejected_class_name_message_names_the_class_and_the_rule(self, name):
+        message = rf"^class name {re.escape(repr(name))} must be non-empty, not '_', printable"
+        with pytest.raises(ParameterError, match=message):
+            check_class_name(name)
+        with pytest.raises(ParameterError, match=message):
             Alphabet.from_names(("E", name))
 
     def test_repeated_class_name_rejected(self):
@@ -170,6 +181,23 @@ class TestProbMatrix:
         assert np.shares_memory(w.probs, worked_matrix.probs)
         assert not w.probs.flags.writeable
         assert w.sample_rate_hz == worked_matrix.sample_rate_hz
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [[0.5, 0.5], [1.0, 0.0]],
+         lambda: np.array([[0.5, 0.5], [1.0, 0.0]], dtype=np.float32),
+         lambda: np.array([[0.5, 0.5], [1.0, 0.0]]),
+         lambda: np.asfortranarray([[0.5, 0.5], [1.0, 0.0]])],
+        ids=["list", "float32", "float64", "fortran-order"],
+    )
+    def test_holds_its_own_frozen_float64_copy(self, make):
+        rows = make()
+        m = ProbMatrix(rows)
+        assert m.probs.dtype == np.float64
+        assert m.probs.flags.c_contiguous and not m.probs.flags.writeable
+        before = m.probs.copy()
+        rows[0][0], rows[0][1] = 0.25, 0.75
+        assert np.array_equal(m.probs, before)
 
     def test_bad_sample_rate(self):
         with pytest.raises(ParameterError):

@@ -47,6 +47,8 @@ class TestEnumerateAlignments:
     def test_blank_in_label_rejected(self, worked_alphabet):
         with pytest.raises(InvalidTokenError):
             enumerate_alignments((E, 0), 4, worked_alphabet)
+        with pytest.raises(InvalidTokenError):  # the label is checked before the scale guard
+            enumerate_alignments((E, 0), 17, worked_alphabet)
 
     def test_matches_independent_grouping(self, worked_alphabet):
         # alignment count per label must equal the independent oracle's
@@ -211,8 +213,11 @@ class TestBestAlignment:
 
     def test_no_alignment_raises(self, worked_alphabet):
         m = ProbMatrix(np.array([[0.3, 0.5, 0.2], [0.3, 0.5, 0.2]]))
-        with pytest.raises(NoAlignmentError):
-            best_alignment_brute_force(m, (E, E), worked_alphabet)
+        # the message shows the checked label, whatever iterable held it
+        message = rf"^label \({E}, {E}\) has no alignment in 2 frames$"
+        for label in [(E, E), np.array([E, E]), iter([E, E])]:
+            with pytest.raises(NoAlignmentError, match=message):
+                best_alignment_brute_force(m, label, worked_alphabet)
 
     def test_never_exceeds_label_mass(self, worked_alphabet):
         rng = np.random.default_rng(33)

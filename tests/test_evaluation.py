@@ -1,6 +1,7 @@
 import pytest
 
 from ctcdetect import (
+    ClassCounts,
     Detection,
     EvalCounts,
     GroundTruthEvent,
@@ -142,6 +143,10 @@ class TestPrf1:
     def test_zero_everything_gives_zero(self):
         score = prf1(EvalCounts())
         assert (score.precision, score.recall, score.f1) == (0.0, 0.0, 0.0)
+
+    def test_class_counts_add_field_by_field(self):
+        total = ClassCounts(1, 2, 3, 4, 5) + ClassCounts(10, 20, 30, 40, 50)
+        assert total == ClassCounts(11, 22, 33, 44, 55)
 
     def test_micro_equals_summed_counts(self):
         counts = evaluate(FIXTURE_DETS, FIXTURE_TRUTH)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ class TestGtCsv:
         path.write_text("start_frame,end_frame,class\n" + rows)
         with pytest.raises(FormatError, match=message):
             read_gt_csv(path)
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [(read_prob_csv, "t,p_blank,p_a\x01b\n0,0.5,0.5\n"),
+     (read_detections_csv, "frame,time_s,class\n4,0.4,a\x01b\n"),
+     (read_gt_csv, "start_frame,end_frame,class\n0,5,a\x01b\n")],
+    ids=["probability-header", "detection", "ground-truth"],
+)
+def test_class_name_error_states_the_rule(tmp_path, read, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    rule = "class name 'a\\x01b' must be non-empty, not '_', printable and hold no comma or space"
+    with pytest.raises(FormatError, match=re.escape(rule)):
+        read(path)
 
 
 class TestVelocityCsv:
