@@ -20,7 +20,7 @@ from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
 from .core import Alphabet, DataError, ParameterError, ProbMatrix
 from .ctc import log_prob_forward, prob_brute_force
-from .decode import check_beam_width, extended_prefix_beam_search, greedy_decode
+from .decode import check_beam_width, extended_prefix_beam_search, greedy_decode, prefix_beam_search
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .synth import SyntheticScript, gen_synthetic
 from .sweep import sweep_beam_width
@@ -78,18 +78,19 @@ def _emit(args, text: str) -> None:
 def _cmd_decode(args) -> int:
     m, alphabet = _load_probs(args, require_rate=False)
     check_beam_width(args.beam_width)
-    payload = {"method": args.method, "beam_width": args.beam_width, "hypotheses": []}
-    if args.method == "greedy":
-        hyps = greedy_decode(m, alphabet).hypotheses
+    if args.method == "beam":  # plain prefix beam search reports no alignment
+        ranked = prefix_beam_search(m, alphabet, args.beam_width)
+        rows = [{"label": _names(alphabet, label), "probability": p} for label, p in ranked]
     else:
-        hyps = extended_prefix_beam_search(m, alphabet, args.beam_width).hypotheses
-    for hyp in hyps:
-        row = {"label": _names(alphabet, hyp.label), "probability": hyp.probability}
-        if args.method != "beam":  # plain prefix beam search reports no alignment
-            row["log_probability"] = hyp.log_probability
-            row["alignment"] = _names(alphabet, hyp.alignment)
-            row["alignment_probability"] = hyp.alignment_probability
-        payload["hypotheses"].append(row)
+        hyps = (greedy_decode(m, alphabet) if args.method == "greedy"
+                else extended_prefix_beam_search(m, alphabet, args.beam_width)).hypotheses
+        rows = [
+            {"label": _names(alphabet, hyp.label), "probability": hyp.probability,
+             "log_probability": hyp.log_probability, "alignment": _names(alphabet, hyp.alignment),
+             "alignment_probability": hyp.alignment_probability}
+            for hyp in hyps
+        ]
+    payload = {"method": args.method, "beam_width": args.beam_width, "hypotheses": rows}
     _emit(args, json.dumps(payload, indent=2))
     return EXIT_OK
 

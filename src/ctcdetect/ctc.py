@@ -147,14 +147,17 @@ def log_prob_forward(m: ProbMatrix, label, alphabet: Alphabet) -> float:
     aug[0::2] = BLANK_ID
     aug[1::2] = label
     skip = np.flatnonzero(aug[2:] != aug[:-2]) + 2
+    skip_from = skip - 2
 
-    alpha = np.full(aug.size, NEG_INF)
+    # two state buffers take turns; a third takes each frame's scores
+    alpha, nxt, scores = np.full(aug.size, NEG_INF), np.empty(aug.size), np.empty(aug.size)
     alpha[:2] = log_p[0, aug[:2]]
     for t in range(1, m.frames):
-        prev = alpha.copy()
-        alpha[1:] = np.logaddexp(alpha[1:], prev[:-1])
-        alpha[skip] = np.logaddexp(alpha[skip], prev[skip - 2])
-        alpha += log_p[t, aug]
+        nxt[0] = alpha[0]
+        np.logaddexp(alpha[1:], alpha[:-1], out=nxt[1:])
+        nxt[skip] = np.logaddexp(nxt[skip], alpha[skip_from])
+        nxt += log_p[t].take(aug, out=scores)
+        alpha, nxt = nxt, alpha
     return float(np.logaddexp.reduce(alpha[-2:]))
 
 

@@ -9,8 +9,8 @@ extended_prefix_beam_search() -- prefix beam search that additionally tracks,
                                  decoded label comes with its best alignment
                                  (and hence event timings).
 
-Both beam searches run on one core; prefix_beam_search is a view of the
-extended search's hypotheses.
+Both beam searches run on one core; prefix_beam_search runs it without
+step 3 below, so it builds no alignment candidate.
 
 Each beam entry keeps two probabilities: p_b, the mass of alignments for the
 prefix that end in blank, and p_nb, the mass ending in the prefix's last
@@ -30,7 +30,7 @@ token. Each frame takes three steps:
 2. Prune. The beam_width best of the own slots and the rows by total mass
    are kept; a row gets its slot only when it is kept.
 3. Candidates. The kept slots alone get their alignment candidates, built
-   from the recorded sources; the candidates never decide what is kept.
+   from the recorded sources; they never decide what is kept, nor its bits.
 
 None of this can change a bit against summing every move into a slot of
 its own prefix. A row's mass is its prefix's total: the blank part holds
@@ -329,10 +329,14 @@ def prefix_beam_search(
     Probabilities are the summed mass of every alignment of the label that
     survived pruning; with a beam wide enough that nothing is ever pruned they
     are exact. Zero-mass prefixes are dropped from the result. Labels,
-    ranking and probabilities are those of extended_prefix_beam_search.
+    ranking and probabilities are those of extended_prefix_beam_search,
+    found without building a single alignment.
     """
-    result = extended_prefix_beam_search(m, alphabet, beam_width)
-    return [(h.label, h.probability) for h in result.hypotheses]
+    check_beam_width(beam_width)
+    check_alphabet(m, alphabet)
+    log_rows = log_matrix(m.probs).tolist()
+    beams, trie = _search(log_rows, alphabet.size, beam_width, alignments=False)
+    return [(trie.label(node), float(np.exp(s[4]))) for _, node, s in beams]
 
 
 def extended_prefix_beam_search(
@@ -373,13 +377,13 @@ def _hypothesis(beam: tuple, trie: _Trie, alphabet: Alphabet) -> Hypothesis:
     )
 
 
-def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie]:
+def _search(log_rows: list, n_tokens: int, beam_width: int, alignments=True) -> tuple[list, _Trie]:
     """Run the beam over ``log_rows``; the final (edge, node, slot) beams and the trie.
 
     Each frame moves mass into the beam's own slots and into extension rows,
     keyed by edge, so extending a prefix needs no trie lookup; _prune keeps
     the best and turns their edges into nodes, and _candidates builds the
-    kept slots' alignment candidates.
+    kept slots' alignment candidates, unless ``alignments`` is false.
     """
     trie = _Trie(n_tokens)
     last_token = trie.token
@@ -422,5 +426,9 @@ def _search(log_rows: list, n_tokens: int, beam_width: int) -> tuple[list, _Trie
                             into[1] = p + log1p(exp(v - p))
                         into[3] = s
         beams = _prune(slots, rows, beam_width, trie)
-        _candidates(beams, lp, trie)
+        if alignments:
+            _candidates(beams, lp, trie)
+        else:  # no candidates: drop the sources, or every frame's slots stay reachable
+            for _, _, s in beams:
+                s[2] = s[3] = None
     return beams, trie

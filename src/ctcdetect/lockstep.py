@@ -11,7 +11,7 @@ window-count rules:
 - from twice _MIN_SHARE_WINDOWS (448), given two usable CPUs: in two
   contiguous halves, the parent searching the first and one worker made by
   os.fork the second, which sends its results back pickled through a pipe;
-  if the worker fails, the parent searches the second half too.
+  if the worker fails, the parent warns and searches the second half too.
 
 A window's result does not depend on the path, batch or half that holds
 it, so the rules change no bit.
@@ -326,7 +326,8 @@ def search_windows(
     _search and _hypothesis give for that window alone.
 
     Where a worker is forked (_usable_cpus counts the CPUs), one that fails
-    or dies sends no whole result, and this process searches its windows
+    or dies sends no whole result, and this process warns (RuntimeWarning,
+    naming the worker's exit code or signal) and searches its windows
     itself; so the result, or the exception, is that of one share, and the
     worker never outlives the call.
     """
@@ -336,7 +337,7 @@ def search_windows(
         return _search_share(probs, starts, frames, beam_width)
     own, other = np.array_split(starts, 2)
     pid, pipe = _fork_share(probs, other, frames, beam_width)
-    data = None
+    data = status = None
     try:
         with pipe:
             first = _search_share(probs, own, frames, beam_width)
@@ -349,10 +350,15 @@ def search_windows(
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
         with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: reaped already
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
     try:
         second = pickle.loads(data)
     except Exception:  # the worker failed or died: nothing, or a result cut short
+        code = None if status is None else os.waitstatus_to_exitcode(status)
+        how = ("its status unknown while SIGCHLD is ignored" if code is None
+               else f"exit code {code}" if code >= 0 else f"killed by signal {-code}")
+        warnings.warn(f"the forked search worker sent no whole result ({how}); this process "
+                      f"searches its {len(other)} windows", RuntimeWarning, stacklevel=2)
         second = _search_share(probs, other, frames, beam_width)
     return _joined([first, second])
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Alphabet, ParameterError, ProbMatrix, TokenSeq
-from .decode import extended_prefix_beam_search
+from .decode import extended_prefix_beam_search, prefix_beam_search
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .windowing import WindowSpec, detect_pipeline, eventize
 
@@ -36,16 +36,18 @@ def sweep_beam_width(
     widths = [int(w) for w in widths]
     if not widths:
         raise ParameterError("no beam widths given")
+    one_window = window_spec is None or m.frames <= window_spec.window_frames
     rows = []
     for width in widths:
-        result = extended_prefix_beam_search(m, alphabet, width)
-        top = result.top
-        f1 = None
-        if ground_truth is not None:
-            if window_spec is None or m.frames <= window_spec.window_frames:
-                detections = eventize(top.alignment, m.sample_rate_hz)
-            else:
+        detections = None
+        if ground_truth is not None and one_window:
+            top = extended_prefix_beam_search(m, alphabet, width).top
+            label, probability = top.label, top.probability
+            detections = eventize(top.alignment, m.sample_rate_hz)
+        else:  # no alignment is read: the plain search gives the same top
+            label, probability = prefix_beam_search(m, alphabet, width)[0]
+            if ground_truth is not None:
                 detections = detect_pipeline(m, window_spec, alphabet, "extended-beam", width)
-            f1 = prf1(evaluate(detections, ground_truth)).f1
-        rows.append(SweepRow(width, top.label, top.probability, f1))
+        f1 = None if detections is None else prf1(evaluate(detections, ground_truth)).f1
+        rows.append(SweepRow(width, label, probability, f1))
     return rows

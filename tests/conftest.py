@@ -54,9 +54,9 @@ def searches(monkeypatch) -> list:
     for module in (decode, lockstep):
         search = module._search
 
-        def counted(*args, search=search):
+        def counted(*args, search=search, **kwargs):
             calls.append(len(args[0]))
-            return search(*args)
+            return search(*args, **kwargs)
 
         monkeypatch.setattr(module, "_search", counted)
     return calls

@@ -9,7 +9,8 @@ which compared tied alignment candidates by rebuilding both whole chains.
 It is the reference for the library's single search core: same hypotheses,
 probabilities, alignments and tie-breaks, bit for bit. After it comes a
 frozen copy of the original two-stage detector, which ran one argmax over
-the whole recording per detection.
+the whole recording per detection, and one of the original forward pass,
+which copied its state vector and gathered its frame's scores every frame.
 """
 
 from __future__ import annotations
@@ -371,3 +372,23 @@ def reference_two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[De
         score[max(lo, 0) : min(hi, score.size - 1) + 1] = -1.0
     detections.sort(key=lambda d: d.frame)
     return detections
+
+
+# --- frozen reference forward pass ------------------------------------------
+
+def reference_log_prob_forward(m: ProbMatrix, label) -> float:
+    """The forward pass's log-probability of a valid, blank-free label."""
+    log_p = log_matrix(m.probs)
+    aug = np.empty(2 * len(label) + 1, dtype=np.int64)
+    aug[0::2] = BLANK_ID
+    aug[1::2] = label
+    skip = np.flatnonzero(aug[2:] != aug[:-2]) + 2
+
+    alpha = np.full(aug.size, NEG_INF)
+    alpha[:2] = log_p[0, aug[:2]]
+    for t in range(1, m.frames):
+        prev = alpha.copy()
+        alpha[1:] = np.logaddexp(alpha[1:], prev[:-1])
+        alpha[skip] = np.logaddexp(alpha[skip], prev[skip - 2])
+        alpha += log_p[t, aug]
+    return float(np.logaddexp.reduce(alpha[-2:]))

@@ -25,6 +25,7 @@ from ctcdetect import (
     extended_prefix_beam_search,
     gen_synthetic,
     greedy_decode,
+    log_prob_forward,
     prefix_beam_search,
     prf1,
     prob_brute_force,
@@ -33,7 +34,13 @@ from ctcdetect import (
 )
 
 from conftest import D, E, WORKED_ROWS
-from oracles import brute_argmax_label, brute_label_probs, random_confident, random_stochastic
+from oracles import (
+    brute_argmax_label,
+    brute_label_probs,
+    random_confident,
+    random_stochastic,
+    reference_log_prob_forward,
+)
 
 ALPHABET = Alphabet.from_names(("E", "D"))
 MATRIX = ProbMatrix(WORKED_ROWS, sample_rate_hz=1.0)
@@ -102,6 +109,9 @@ def test_criterion_3_forward_equals_enumeration():
                 label = labels[int(pick)]
                 fw = prob_forward(m, label, ab)
                 assert fw == pytest.approx(table[label], rel=1e-9)
+                # and bit for bit the frozen forward pass
+                got = log_prob_forward(m, label, ab)
+                assert got.hex() == reference_log_prob_forward(m, label).hex()
                 if i == 0:
                     assert prob_brute_force(m, label, ab) == pytest.approx(
                         table[label], rel=1e-9

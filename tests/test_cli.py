@@ -1,13 +1,14 @@
 import json
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from ctcdetect import Alphabet, ProbMatrix, lockstep
+from ctcdetect import Alphabet, ProbMatrix, decode, extended_prefix_beam_search, lockstep
 from ctcdetect.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_PARAMETER, main
-from ctcdetect.io import read_detections_csv, read_gt_csv, write_prob_csv
+from ctcdetect.io import read_detections_csv, read_gt_csv, read_prob_csv, write_prob_csv
 
 from conftest import WORKED_ROWS, assert_no_child_left
 
@@ -62,6 +63,36 @@ class TestDecodeCommand:
         assert main(["decode", str(worked_csv), "--method", "beam"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert "alignment" not in payload["hypotheses"][0]
+
+    @pytest.mark.parametrize("width", (1, 3, 10))
+    def test_plain_beam_bytes_are_the_extended_search_rows(self, tmp_path, capsys, width):
+        # the plain search prints, byte for byte, the extended search's
+        # labels and probabilities without their alignments
+        probs, _ = _gen_recording(tmp_path, extra=("--noise", "0.5", "--seed", str(width)))
+        m, ab = read_prob_csv(probs)
+        rows = [
+            {"label": [ab.name_of(t) for t in hyp.label], "probability": hyp.probability}
+            for hyp in extended_prefix_beam_search(m, ab, width).hypotheses
+        ]
+        payload = {"method": "beam", "beam_width": width, "hypotheses": rows}
+        capsys.readouterr()
+        argv = ["decode", str(probs), "--method", "beam", "--beam-width", str(width)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_plain_beam_and_sweep_build_no_alignment(self, tmp_path, monkeypatch, capsys):
+        # neither reads an alignment, so neither builds a candidate
+        probs, _ = _gen_recording(tmp_path, extra=("--noise", "0.5"))
+
+        def no_candidates(*args):
+            raise AssertionError("an alignment candidate was built")
+
+        monkeypatch.setattr(decode, "_candidates", no_candidates)
+        capsys.readouterr()
+        assert main(["decode", str(probs), "--method", "beam", "--beam-width", "10"]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["hypotheses"]) == 10
+        assert main(["sweep", str(probs), "--widths", "1,3,10"]) == EXIT_OK
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
     def test_output_file_matches_stdout(self, worked_csv, tmp_path, capsys):
         assert main(["decode", str(worked_csv)]) == EXIT_OK
@@ -150,8 +181,16 @@ class TestDetectAndEval:
                                 raising=False)
             out = tmp_path / f"dets{cpus}.csv"
             detect = ["detect", str(probs), "--window-s", "8", "--stride-s", "4"]
-            assert main([*detect, "--output", str(out)]) == EXIT_OK
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*detect, "--output", str(out)]) == EXIT_OK
             written.append(out.read_bytes())
+            # the user is told, on stderr, that the worker was lost
+            lost = [
+                f"the forked search worker sent no whole result (killed by signal "
+                f"{int(signal.SIGKILL)}); this process searches its 224 windows"
+            ]
+            assert [str(w.message) for w in caught] == ([] if cpus == 1 else lost)
         assert forks == [parent] and written[0] == written[1]
         assert_no_child_left()
 

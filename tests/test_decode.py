@@ -25,6 +25,7 @@ from ctcdetect import (
     gen_synthetic,
     greedy_decode,
     majority_vote,
+    log_prob_forward,
     prefix_beam_search,
     prob_brute_force,
     slide_windows,
@@ -42,6 +43,7 @@ from oracles import (
     random_confident,
     random_stochastic,
     reference_extended_prefix_beam_search,
+    reference_log_prob_forward,
     reference_prefix_beam_search,
 )
 
@@ -284,8 +286,16 @@ def _stream(kind: str, rng: np.random.Generator, n_frames: int, n_tokens: int) -
     return random_stochastic(rng, n_frames, n_tokens)
 
 
+def assert_forward_matches_reference(m: ProbMatrix, ab: Alphabet, result) -> None:
+    """The forward pass gives each decoded label the frozen pass's bits."""
+    for hyp in result.hypotheses:
+        got = log_prob_forward(m, hyp.label, ab)
+        assert got.hex() == reference_log_prob_forward(m, hyp.label).hex()
+
+
 class TestMatchesReference:
-    """The single core equals the frozen chain-walking decoders bit for bit."""
+    """The single core equals the frozen chain-walking decoders bit for bit,
+    and the forward pass equals the frozen one on the same streams."""
 
     @pytest.mark.parametrize("kind", STREAM_KINDS)
     @pytest.mark.parametrize("width", range(1, 11))
@@ -303,6 +313,7 @@ class TestMatchesReference:
             assert got == want
             assert_states_match(search_states(m, width), reference_states)
             assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+            assert_forward_matches_reference(m, ab, got)
 
     @pytest.mark.parametrize("kind", STREAM_KINDS)
     def test_long_streams(self, kind):
@@ -313,6 +324,7 @@ class TestMatchesReference:
             got = extended_prefix_beam_search(m, ab, width)
             assert got == reference_extended_prefix_beam_search(m, ab, width)
             assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+            assert_forward_matches_reference(m, ab, got)
 
     @pytest.mark.parametrize("kind", ("uniform", "tenths", "one-hot"))
     @pytest.mark.parametrize("width", (1, 3, 10))
@@ -323,10 +335,10 @@ class TestMatchesReference:
         rng = np.random.default_rng([width, STREAM_KINDS.index(kind), 800])
         m = ProbMatrix(_stream(kind, rng, 800, 3))
         ab = Alphabet(3)
-        assert extended_prefix_beam_search(m, ab, width) == reference_extended_prefix_beam_search(
-            m, ab, width
-        )
+        got = extended_prefix_beam_search(m, ab, width)
+        assert got == reference_extended_prefix_beam_search(m, ab, width)
         assert prefix_beam_search(m, ab, width) == reference_prefix_beam_search(m, ab, width)
+        assert_forward_matches_reference(m, ab, got)
 
     def test_pruned_prefix_comes_back_to_its_node(self):
         # width 2: [E, D] is kept at frame 1, pruned at frame 2 while its
@@ -403,6 +415,34 @@ def test_candidates_built_for_kept_prefixes_alone(monkeypatch, width):
             assert all(field is None or len(field) == 3 for field in s[2:4])
         orders = sorted(c[1] for s in kept.values() for c in s[2:4] if c is not None)
         assert orders == list(range(0, 4 * len(orders), 4))
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+@pytest.mark.parametrize("width", (1, 3, 10))
+def test_plain_search_builds_no_candidates(monkeypatch, kind, width):
+    # the plain search runs the core without candidates: the same ranked
+    # labels and bits as the extended search, and final slots that hold no
+    # sources, so no slot of an earlier frame stays reachable
+    rng = np.random.default_rng([width, STREAM_KINDS.index(kind), 26])
+    m, ab = ProbMatrix(_stream(kind, rng, 200, 4)), Alphabet(4)
+    expected = extended_prefix_beam_search(m, ab, width).hypotheses
+    finals, search = [], decode._search
+
+    def recorded(*args, **kwargs):
+        beams, trie = search(*args, **kwargs)
+        finals.append(beams)
+        return beams, trie
+
+    def no_candidates(*args):
+        raise AssertionError("an alignment candidate was built")
+
+    monkeypatch.setattr(decode, "_search", recorded)
+    monkeypatch.setattr(decode, "_candidates", no_candidates)
+    got = prefix_beam_search(m, ab, width)
+    want = [(h.label, h.probability.hex()) for h in expected]
+    assert [(label, p.hex()) for label, p in got] == want
+    assert len(finals) == 1 and finals[0]
+    assert all(s[2] is None and s[3] is None for _, _, s in finals[0])
 
 
 def test_pick_compares_after_the_move():
@@ -749,8 +789,9 @@ class TestSearchWindows:
         forks = _use_cpus(monkeypatch, 2)
         probs, starts = _windows(SPLIT, 5)
         second = 4 * lockstep._MIN_SHARE_WINDOWS
-        with pytest.raises(ValueError, match=f"^no search from frame {second}$"):
-            search_windows(probs, starts, 8, 3)
+        with pytest.warns(RuntimeWarning, match=r"no whole result \(exit code 1\)"):
+            with pytest.raises(ValueError, match=f"^no search from frame {second}$"):
+                search_windows(probs, starts, 8, 3)
         assert len(forks) == 1 and searched == [0, second]
         assert_no_child_left()
 
@@ -769,7 +810,8 @@ class TestSearchWindows:
             return search_batch(probs, starts, frames, beam_width)
 
         monkeypatch.setattr(lockstep, "_search_batch", dying)
-        assert_same_windows(search_windows(probs, starts, 8, 3), one)
+        with pytest.warns(RuntimeWarning, match=r"\(exit code 3\); this process searches its"):
+            assert_same_windows(search_windows(probs, starts, 8, 3), one)
         assert len(forks) == 1
         assert_no_child_left()
 
@@ -791,7 +833,8 @@ class TestSearchWindows:
             os.kill(os.getpid(), signal.SIGKILL)
 
         monkeypatch.setattr(pickle, "dump", cut_short)
-        assert_same_windows(search_windows(probs, starts, 8, 3), one)
+        with pytest.warns(RuntimeWarning, match=f"killed by signal {int(signal.SIGKILL)}"):
+            assert_same_windows(search_windows(probs, starts, 8, 3), one)
         assert len(forks) == 1
         assert_no_child_left()
 
@@ -819,7 +862,8 @@ class TestSearchWindows:
         try:
             shared = search_windows(probs, starts, 8, 3)
             monkeypatch.setattr(lockstep, "_search_batch", dying)
-            died = search_windows(probs, starts, 8, 3)
+            with pytest.warns(RuntimeWarning, match="status unknown while SIGCHLD is ignored"):
+                died = search_windows(probs, starts, 8, 3)
             monkeypatch.setattr(lockstep, "_search_batch", failing_late)
             with pytest.raises(ValueError, match="no search in the parent"):
                 search_windows(probs, starts, 8, 3)
@@ -829,6 +873,16 @@ class TestSearchWindows:
         assert_no_child_left()
         assert_same_windows(shared, one)
         assert_same_windows(died, one)
+
+    def test_healthy_worker_warns_nothing(self, monkeypatch):
+        # the warning is for a lost share alone, not for every forked search
+        probs, starts = _windows(SPLIT, 12)
+        forks = _use_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alignments, *_ = search_windows(probs, starts, 8, 3)
+        assert len(forks) == 1 and len(alignments) == SPLIT
+        assert_no_child_left()
 
     def test_failed_own_share_stops_the_workers(self, monkeypatch):
         # the worker would search for a minute; the parent's failure kills it

@@ -7,12 +7,15 @@ from ctcdetect import (
     ProbMatrix,
     WindowSpec,
     detect_pipeline,
+    eventize,
+    extended_prefix_beam_search,
     gen_synthetic,
     sweep_beam_width,
     SyntheticScript,
 )
-from ctcdetect import sweep
+from ctcdetect import decode, sweep
 from ctcdetect.evaluation import evaluate, prf1
+from ctcdetect.sweep import SweepRow
 
 from conftest import D, E
 from oracles import random_stochastic
@@ -94,3 +97,63 @@ class TestSweepBeamWidth:
             prf1(evaluate(detect_pipeline(m, spec, ab, "extended-beam", w), truth)).f1
             for w in widths
         ]
+
+
+def extended_sweep(m, ab, widths, window_spec=None, ground_truth=None) -> list[SweepRow]:
+    """The sweep with every row read off the extended search."""
+    rows = []
+    for width in widths:
+        top = extended_prefix_beam_search(m, ab, width).top
+        f1 = None
+        if ground_truth is not None:
+            if window_spec is None or m.frames <= window_spec.window_frames:
+                detections = eventize(top.alignment, m.sample_rate_hz)
+            else:
+                detections = detect_pipeline(m, window_spec, ab, "extended-beam", width)
+            f1 = prf1(evaluate(detections, ground_truth)).f1
+        rows.append(SweepRow(width, top.label, top.probability, f1))
+    return rows
+
+
+class TestSweepRowsMatchTheExtendedSearch:
+    """Rows that read no alignment come from the plain search, bit for bit
+    the extended search's top label and probability."""
+
+    WIDTHS = (1, 2, 3, 5, 10)
+
+    @pytest.fixture(params=range(3))
+    def stream(self, request):
+        script = SyntheticScript(120, ((E, 20), (D, 60), (E, 95)), noise_level=0.6,
+                                 seed=request.param)
+        return gen_synthetic(script, Alphabet(3), sample_rate_hz=10.0)
+
+    @staticmethod
+    def assert_rows(got, expected):
+        assert got == expected
+        assert [r.top_probability.hex() for r in got] == [
+            r.top_probability.hex() for r in expected
+        ]
+
+    def test_without_ground_truth(self, stream, monkeypatch):
+        m, _ = stream
+        ab = Alphabet(3)
+        expected = extended_sweep(m, ab, self.WIDTHS)
+
+        def no_candidates(*args):
+            raise AssertionError("an alignment candidate was built")
+
+        monkeypatch.setattr(decode, "_candidates", no_candidates)
+        self.assert_rows(sweep_beam_width(m, ab, self.WIDTHS), expected)
+
+    def test_windowed_spec(self, stream):
+        m, truth = stream
+        ab, spec = Alphabet(3), WindowSpec(40, 20)
+        got = sweep_beam_width(m, ab, self.WIDTHS, window_spec=spec, ground_truth=truth)
+        self.assert_rows(got, extended_sweep(m, ab, self.WIDTHS, spec, truth))
+
+    @pytest.mark.parametrize("spec", (None, WindowSpec(120, 60), WindowSpec(200, 100)))
+    def test_single_window(self, stream, spec):
+        m, truth = stream
+        ab = Alphabet(3)
+        got = sweep_beam_width(m, ab, self.WIDTHS, window_spec=spec, ground_truth=truth)
+        self.assert_rows(got, extended_sweep(m, ab, self.WIDTHS, spec, truth))
