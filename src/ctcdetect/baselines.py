@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParameterError, ProbMatrix
+from .core import ParameterError, ProbMatrix, check_positive
 from .evaluation import GroundTruthEvent, PRF, evaluate, prf1
 from .windowing import Detection
 
@@ -37,8 +37,7 @@ class TwoStageParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ParameterError(f"threshold must be in (0, 1), got {self.threshold}")
-        if not 0 < self.min_distance_s < math.inf:
-            raise ParameterError(f"minimum distance must be in (0, inf), got {self.min_distance_s}")
+        check_positive(self.min_distance_s, "minimum distance")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,7 @@ class ThresholdParams:
     t4: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.t1 < math.inf:
-            raise ParameterError(f"t1 must be in (0, inf), got {self.t1}")
+        check_positive(self.t1, "t1")
         if not -math.inf < self.t2 < 0:
             raise ParameterError(f"t2 must be in (-inf, 0), got {self.t2}")
         if not (0 <= self.t3 < math.inf and 0 <= self.t4 < math.inf):
@@ -111,8 +109,7 @@ def threshold_detect(
     series = np.asarray(roll_dps, dtype=np.float64)
     if series.ndim != 1 or series.size == 0:
         raise ParameterError("expected a non-empty 1-D velocity series")
-    if not 0 < sample_rate_hz < math.inf:
-        raise ParameterError(f"sample rate must be in (0, inf), got {sample_rate_hz}")
+    check_positive(sample_rate_hz, "sample rate")
     dwell = params.t3 * sample_rate_hz
     lockout = params.t4 * sample_rate_hz
     detections = []

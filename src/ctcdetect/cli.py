@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import io as fileio
 from .baselines import ThresholdParams, TwoStageParams, threshold_detect, two_stage_detect
-from .core import Alphabet, DataError, ParameterError, ProbMatrix
+from .core import Alphabet, DataError, ParameterError, ProbMatrix, check_positive
 from .ctc import log_prob_forward, prob_brute_force
 from .decode import check_beam_width, extended_prefix_beam_search, greedy_decode, prefix_beam_search
 from .evaluation import GroundTruthEvent, evaluate, prf1
@@ -126,9 +125,7 @@ def _cmd_eval(args) -> int:
     if not names:
         raise ParameterError("no classes found in either file")
     alphabet = Alphabet.from_names(names)
-    rate = args.sample_rate_hz
-    if not 0 < rate < math.inf:
-        raise ParameterError(f"sample rate must be in (0, inf), got {rate}")
+    rate = check_positive(args.sample_rate_hz, "sample rate")
     detections = [
         Detection(alphabet.id_of(name), frame, frame / rate)
         for frame, _, name in det_rows

@@ -8,6 +8,7 @@ collapse()     -- merge repeated tokens, then drop blanks: the mapping from a
 validate_prob_matrix() -- checked (optionally renormalizing) constructor for
                   ProbMatrix from raw rows.
 check_alphabet() -- a matrix and an alphabet agree on the token count.
+check_positive() -- a number lies in (0, inf).
 DataError      -- base of the errors about malformed outside data (CLI exit 4).
 
 Alignments and label sequences are plain tuples of token ids throughout the
@@ -51,6 +52,13 @@ class NormalizationError(DataError):
 
 class ParameterError(ValueError):
     """A caller-supplied parameter violates its documented constraints."""
+
+
+def check_positive(value: float, what: str) -> float:
+    """``value`` if it lies in (0, inf), else ParameterError naming ``what``."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{what} must be in (0, inf), got {value}")
+    return value
 
 
 def check_class_name(name: str) -> str:
@@ -140,8 +148,7 @@ class ProbMatrix:
         arr = np.array(self.probs, dtype=np.float64, order="C")
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ParameterError(f"expected a (frames, tokens>=2) matrix, got shape {arr.shape}")
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ParameterError(f"sample rate must be in (0, inf), got {self.sample_rate_hz}")
+        check_positive(self.sample_rate_hz, "sample rate")
         outside = np.argwhere(~((arr >= 0.0) & (arr <= 1.0)))  # NaN fails both tests
         if outside.size:
             t, c = outside[0]

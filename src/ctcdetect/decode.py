@@ -47,14 +47,14 @@ All mass bookkeeping is in natural-log space.
 
 Prefix nodes: a prefix is a node of a trie built per decode, which stores
 each node's parent and last token; node 0 is the empty prefix. A prefix is
-also named by its edge, parent * n_tokens + token (-1 for the empty prefix),
-and a ``children`` map takes an edge to its node. Slots and rows are keyed
-by edge, so extending a prefix costs O(1) whatever the label length.
-Pruning allocates a
-node only for a kept edge that has none, so the trie holds at most frames x
-beam_width nodes beside the root, and a pruned prefix that comes back finds
-its old node: one prefix is one node, so merges stay exact. Label tuples are
-built only for returned hypotheses.
+also named by its edge, parent * n_tokens + token, the empty prefix by edge
+0 as the root below itself by a blank (every other token is >= 1), and a
+``children`` map takes an edge to its node. Slots and rows are keyed by
+edge, so extending a prefix costs O(1) whatever the label length. Pruning
+allocates a node only for a kept edge that has none, so the trie holds at
+most frames x beam_width nodes beside the root, and a pruned prefix that
+comes back finds its old node: one prefix is one node, so merges stay
+exact. Label tuples are built only for returned hypotheses.
 
 Nothing of probability 0 (log 0) is carried: a move by a token of
 probability exactly 0 passes on neither mass nor an alignment, and a slot is
@@ -91,6 +91,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import exp, log1p
+from numbers import Integral
 from operator import itemgetter
 
 import numpy as np
@@ -133,10 +134,13 @@ class DecodeResult:
         return self.hypotheses[0]
 
 
-def check_beam_width(beam_width: int) -> None:
-    """Raise ParameterError unless the beam keeps at least one prefix."""
+def check_beam_width(beam_width: int) -> int:
+    """``beam_width`` if it is an integer >= 1, else ParameterError."""
+    if not isinstance(beam_width, Integral):
+        raise ParameterError(f"beam width must be an integer, got {beam_width!r}")
     if beam_width < 1:
         raise ParameterError(f"beam width must be >= 1, got {beam_width}")
+    return beam_width
 
 
 def _alignment(cell) -> TokenSeq:
@@ -152,16 +156,16 @@ class _Trie:
     """Prefix nodes of one decode: parent and last token by node id.
 
     A node is appended after its parent, so ids grow down every path. The
-    root, node 0, is the empty prefix; its token is the blank.
+    root, node 0, is the empty prefix, below itself by a blank: edge 0.
     """
 
     def __init__(self, n_tokens: int) -> None:
         self.n_tokens = n_tokens
         # parents in an int array: no int object per entry; tokens are small
         # ints, which Python shares, and a list reads faster on the hot path
-        self.parent = array("i", [-1])
+        self.parent = array("i", [-1])  # the root has no parent node to walk to
         self.token = [BLANK_ID]
-        self.children = {-1: 0}
+        self.children = {0: 0}
 
     def add(self, edge: int) -> int:
         """Allocate the node for an edge that has none."""
@@ -187,7 +191,7 @@ class _Trie:
         parents are walked, each up to that ancestor and each step once.
         """
         n, parent, token = self.n_tokens, self.parent, self.token
-        heads = {e // n if e >= 0 else 0 for e in edges}
+        heads = {e // n for e in edges}
         tails = {head: [] for head in heads}
         front = {head: [head] for head in heads}  # ancestor -> heads below it
         while len(front) > 1:
@@ -196,8 +200,8 @@ class _Trie:
             for head in below:
                 tails[head].append(token[node])
             front.setdefault(parent[node], []).extend(below)
-        # the empty prefix, when tied, makes the root the common ancestor
-        return [tuple(reversed(tails[e // n])) + (e % n,) if e >= 0 else () for e in edges]
+        # the empty prefix's (0,) sorts first: every other key starts with a class
+        return [tuple(reversed(tails[e // n])) + (e % n,) for e in edges]
 
 
 def _prune(slots: dict, rows: list, beam_width: int, trie: _Trie) -> list:
@@ -389,7 +393,7 @@ def _search(log_rows: list, n_tokens: int, beam_width: int, alignments=True) -> 
     last_token = trie.token
     tokens = range(1, n_tokens)
 
-    beams = [(-1, 0, [0.0, NEG_INF, [0.0, 0, None], None, 0.0])]
+    beams = [(0, 0, [0.0, NEG_INF, [0.0, 0, None], None, 0.0])]
     for lp in log_rows:
         lp_blank = lp[BLANK_ID]
         # blank and repeat stay on the prefix; the root (token blank) has no

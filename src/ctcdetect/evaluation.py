@@ -78,15 +78,14 @@ class PRF:
     f1: float
 
 
-def _validate_ground_truth(ground_truth: list[GroundTruthEvent]) -> None:
-    for prev, cur in zip(ground_truth, ground_truth[1:]):
-        if cur.start_frame < prev.start_frame:
+def check_intervals(intervals: list[tuple[int, int]]) -> None:
+    """Raise ParameterError unless the (start, end) ground-truth intervals are
+    sorted by start and no two share a frame."""
+    for (start0, end0), (start, end) in zip(intervals, intervals[1:]):
+        if start < start0:
             raise ParameterError("ground-truth events must be sorted by start frame")
-        if cur.start_frame <= prev.end_frame:
-            raise ParameterError(
-                f"ground-truth events overlap: [{prev.start_frame}, {prev.end_frame}] "
-                f"and [{cur.start_frame}, {cur.end_frame}]"
-            )
+        if start <= end0:
+            raise ParameterError(f"ground-truth events overlap: [{start0}, {end0}] and [{start}, {end}]")
 
 
 def evaluate(
@@ -102,7 +101,7 @@ def evaluate(
     for prev, cur in zip(detections, detections[1:]):
         if cur.frame < prev.frame:
             raise OrderingError("detections must be sorted by frame")
-    _validate_ground_truth(ground_truth)
+    check_intervals([(e.start_frame, e.end_frame) for e in ground_truth])
 
     counts = EvalCounts()
     for event in ground_truth:

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Alphabet, DataError, ProbMatrix, check_class_name, validate_prob_matrix
-from .evaluation import GroundTruthEvent
+from .core import Alphabet, DataError, ProbMatrix, check_class_name, check_positive, validate_prob_matrix
+from .evaluation import GroundTruthEvent, check_intervals
 from .windowing import Detection
 
 
@@ -52,12 +52,9 @@ def read_sidecar_rate(csv_path) -> float | None:
         rate = json.loads(path.read_text())["sample_rate_hz"]
         if isinstance(rate, (bool, str)):  # float() would take true and "10"
             raise TypeError(f"sample rate must be a JSON number, got {rate!r}")
-        rate = float(rate)
+        return check_positive(float(rate), "sample rate")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"bad sidecar {path}: {exc}") from exc
-    if not 0 < rate < math.inf:
-        raise FormatError(f"bad sidecar {path}: sample rate must be in (0, inf), got {rate}")
-    return rate
 
 
 @contextmanager
@@ -268,13 +265,10 @@ def read_gt_csv(path) -> list[tuple[int, int, str]]:
     for lineno, (start, end, _) in enumerate(rows, start=2):
         if start > end:
             raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")
-    ordered = sorted(rows)
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur[0] <= prev[1]:
-            raise FormatError(
-                f"{path}: ground-truth events overlap: [{prev[0]}, {prev[1]}] "
-                f"and [{cur[0]}, {cur[1]}]"
-            )
+    try:
+        check_intervals(sorted((start, end) for start, end, _ in rows))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return rows
 
 

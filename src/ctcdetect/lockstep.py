@@ -77,9 +77,10 @@ class _Nodes:
     It holds what _Trie holds: ``child[node, token]`` is the node of that
     extension, or -1 while it has none. Node w + 1 is window w's empty
     prefix, and each window's prefixes are its own nodes; those roots hang
-    below node 0 by a blank, so that tie_keys, walking up, finds the common
-    ancestor of one window's prefixes exactly as in _Trie. ``row[node]`` is
-    the node's row in its window's beam, -1 if it is not in the beam.
+    below node 0 by a blank, so each is named by edge 0, as _Trie's root is,
+    and tie_keys, walking up, finds the common ancestor of one window's
+    prefixes exactly as in _Trie. ``row[node]`` is the node's row in its
+    window's beam, -1 if it is not in the beam.
     """
 
     tie_keys = _Trie.tie_keys
@@ -214,8 +215,7 @@ class _Lockstep:
 
     def _order_ties(self, ranked, mass, node) -> None:
         """Put the runs of equal totals that reach the kept part in prefix order,
-        by the edges of the window's entry nodes ``node``. A root's edge is 0,
-        its blank below node 0, which orders the keys as _Trie's -1 does."""
+        by the edges of the window's entry nodes ``node``."""
         n, nodes = self.n, self.nodes
         own = nodes.parent.take(node) * n + nodes.token.take(node)
         edges = np.concatenate((own, (node[:, None] * n + self.classes.T).ravel()))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Alphabet, ParameterError, ProbMatrix, TokenSeq
-from .decode import extended_prefix_beam_search, prefix_beam_search
+from .decode import check_beam_width, extended_prefix_beam_search, prefix_beam_search
 from .evaluation import GroundTruthEvent, evaluate, prf1
 from .windowing import WindowSpec, detect_pipeline, eventize
 
@@ -33,7 +33,7 @@ def sweep_beam_width(
     covers the stream, of that decode's top alignment, which is what one
     window over the whole stream votes.
     """
-    widths = [int(w) for w in widths]
+    widths = [check_beam_width(w) for w in widths]  # every width, before the first search
     if not widths:
         raise ParameterError("no beam widths given")
     one_window = window_spec is None or m.frames <= window_spec.window_frames

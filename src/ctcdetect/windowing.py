@@ -9,12 +9,12 @@ spacing between detections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet
+from .core import BLANK_ID, Alphabet, ParameterError, ProbMatrix, TokenSeq, check_alphabet, check_positive
 from .decode import check_beam_width
 
 DECODE_METHODS = ("greedy", "extended-beam")
@@ -32,6 +32,9 @@ class WindowSpec:
     stride_frames: int
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, Integral) for n in (self.window_frames, self.stride_frames)):
+            raise ParameterError(f"window and stride must be integer frame counts, got "
+                                 f"{self.window_frames!r} and {self.stride_frames!r}")
         if self.window_frames < 1:
             raise ParameterError(f"window must span >= 1 frame, got {self.window_frames}")
         if not 1 <= self.stride_frames <= self.window_frames:
@@ -44,11 +47,9 @@ class WindowSpec:
         cls, window_s: float, sample_rate_hz: float, stride_s: float | None = None
     ) -> "WindowSpec":
         """Build a spec from seconds; stride defaults to half the window."""
-        frames = [x * sample_rate_hz for x in (window_s, stride_s) if x is not None]
-        if not all(0 < f < math.inf for f in (sample_rate_hz, *frames)):
-            raise ParameterError(f"rate {sample_rate_hz} and frames {frames} must be > 0 and finite")
-        window = max(1, round(frames[0]))
-        stride = window // 2 if stride_s is None else round(frames[1])
+        rate = check_positive(sample_rate_hz, "sample rate")
+        window = max(1, round(check_positive(window_s * rate, "window frames")))
+        stride = window // 2 if stride_s is None else round(check_positive(stride_s * rate, "stride frames"))
         return cls(window, max(1, stride))
 
 
@@ -68,23 +69,24 @@ class Detection:
 def slide_windows(m: ProbMatrix, spec: WindowSpec) -> list[tuple[int, ProbMatrix]]:
     """Split a recording into (start_frame, window) pairs covering every frame.
 
-    Windows start at 0, stride, 2*stride, ...; when the stride grid does not
-    land a window exactly on the final frame, one extra window is anchored to
-    end there. Recordings shorter than the window yield a single full-length
-    window. detect_pipeline does not use it; it slices rows at _window_starts.
+    The windows are _window_grid's, as in detect_pipeline, which slices rows
+    instead of views; a recording shorter than the window is one view over
+    all of it.
     """
-    if m.frames <= spec.window_frames:
-        return [(0, m)]
-    return [(s, m.window(s, s + spec.window_frames)) for s in _window_starts(m.frames, spec)]
+    starts, frames = _window_grid(m.frames, spec)
+    return [(s, m.window(s, s + frames)) for s in starts]
 
 
-def _window_starts(total: int, spec: WindowSpec) -> list[int]:
-    """The first frames of slide_windows' windows over ``total`` frames."""
+def _window_grid(total: int, spec: WindowSpec) -> tuple[list[int], int]:
+    """The first frames of the windows over ``total`` frames, and the frames
+    each spans, min(total, window). They start at 0, stride, 2*stride, ...,
+    and one more is anchored to end on the final frame when the grid does
+    not land a window there."""
     last_start = max(total - spec.window_frames, 0)
     starts = list(range(0, last_start + 1, spec.stride_frames))
     if starts[-1] != last_start:
         starts.append(last_start)
-    return starts
+    return starts, min(total, spec.window_frames)
 
 
 def majority_vote(
@@ -126,8 +128,7 @@ def eventize(frame_tokens, sample_rate_hz: float) -> list[Detection]:
     Every maximal run of one non-blank token becomes a single detection at the
     run's median frame (the lower of the two middles for even runs).
     """
-    if not 0 < sample_rate_hz < math.inf:
-        raise ParameterError(f"sample rate must be in (0, inf), got {sample_rate_hz}")
+    check_positive(sample_rate_hz, "sample rate")
     tokens = np.asarray(frame_tokens, dtype=np.int64)
     if tokens.size == 0:
         return []
@@ -171,8 +172,7 @@ def detect_pipeline(
     # imported on first use, so that importing the package does not compile it
     from .lockstep import search_windows
 
-    starts = _window_starts(m.frames, spec)
-    frames = min(m.frames, spec.window_frames)
+    starts, frames = _window_grid(m.frames, spec)
     alignments, *_ = search_windows(m.probs, np.array(starts), frames, beam_width)
     voted = majority_vote(list(zip(starts, alignments)), m.frames, alphabet)
     return eventize(voted, m.sample_rate_hz)

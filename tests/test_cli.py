@@ -489,17 +489,61 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("files, argv, code", MALFORMED)
-def test_malformed_input_exit_code(tmp_path, monkeypatch, capsys, files, argv, code):
+def _write_files(tmp_path, files) -> None:
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
         else:
             (tmp_path / name).write_text(content)
+
+
+@pytest.mark.parametrize("files, argv, code", MALFORMED)
+def test_malformed_input_exit_code(tmp_path, monkeypatch, capsys, files, argv, code):
+    _write_files(tmp_path, files)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("ctcdetect: ") and "Traceback" not in err
+
+
+# Every flag or sidecar number that must lie in (0, inf): its files, the
+# command that the number's text ends, the name its message gives it, and
+# the factor that turns the text into the value shown (window and stride are
+# checked in frames, at the sidecar's 10 Hz). A flag exits 5; the sidecar,
+# given the same numbers in JSON, exits 4.
+_TWO_STAGE = ["baseline", "two-stage", "p.csv", "--output", "o.csv", "--min-dist-s"]
+_GEN = ["gen", "--frames", "10", "--classes", "E", "--output", "g.csv", "--sample-rate-hz"]
+_VELOCITY = {"v.csv": "t,roll_dps\n0,1.0\n"}
+POSITIVE = [
+    pytest.param(_RATED, ["decode", "p.csv", "--sample-rate-hz"], "sample rate", 1, id="decode-rate"),
+    pytest.param(_RATED, _DETECT + ["--sample-rate-hz"], "sample rate", 1, id="detect-rate"),
+    pytest.param(_RATED, _DETECT + ["--window-s"], "window frames", 10, id="detect-window"),
+    pytest.param(_RATED, _DETECT + ["--stride-s"], "stride frames", 10, id="detect-stride"),
+    pytest.param(_RATED, ["sweep", "p.csv", "--window-s"], "window frames", 10, id="sweep-window"),
+    pytest.param(_RATED, _TWO_STAGE, "minimum distance", 1, id="two-stage-min-dist"),
+    pytest.param(_VELOCITY, _THRESHOLD + ["--t1"], "t1", 1, id="threshold-t1"),
+    pytest.param(_VELOCITY, _THRESHOLD + ["--sample-rate-hz"], "sample rate", 1, id="threshold-rate"),
+    pytest.param(_EVAL_FILES, _EVAL + ["--sample-rate-hz"], "sample rate", 1, id="eval-rate"),
+    pytest.param({}, _GEN, "sample rate", 1, id="gen-rate"),
+    pytest.param(None, ["decode", "p.csv"], "sample rate", 1, id="sidecar"),
+]
+_JSON = {"0": "0", "-0": "-0.0", "-1": "-1", "nan": "NaN", "inf": "Infinity"}
+
+
+@pytest.mark.parametrize("text", list(_JSON))
+@pytest.mark.parametrize("files, argv, what, factor", POSITIVE)
+def test_positive_numbers_have_one_rule(tmp_path, monkeypatch, capsys, files, argv, what, factor,
+                                        text):
+    if files is None:
+        files = _sidecar(f'{{"sample_rate_hz": {_JSON[text]}}}')
+        code, prefix = EXIT_FORMAT, "data error: bad sidecar p.csv.json: "
+    else:
+        argv, code, prefix = argv + [text], EXIT_PARAMETER, "parameter error: "
+    _write_files(tmp_path, files)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    value = float(text) * factor
+    assert capsys.readouterr().err == f"ctcdetect: {prefix}{what} must be in (0, inf), got {value}\n"
 
 
 # eval's exact output for a small two-class case with every kind of count:

@@ -5,6 +5,8 @@ import pytest
 
 from ctcdetect import (
     Alphabet,
+    ThresholdParams,
+    TwoStageParams,
     InvalidTokenError,
     NormalizationError,
     ParameterError,
@@ -14,15 +16,17 @@ from ctcdetect import (
     collapse,
     ctc_loss,
     detect_pipeline,
+    eventize,
     extended_prefix_beam_search,
     greedy_decode,
     log_prob_forward,
     prefix_beam_search,
     prob_brute_force,
     prob_forward,
+    threshold_detect,
     validate_prob_matrix,
 )
-from ctcdetect.core import check_class_name
+from ctcdetect.core import check_class_name, check_positive
 
 from conftest import D, E, WORKED_ROWS
 
@@ -229,3 +233,35 @@ def test_matrix_and_alphabet_must_agree(call, size):
     call(m, Alphabet(3))  # an agreeing alphabet is accepted
     with pytest.raises(ParameterError, match="matrix has 3 tokens, alphabet"):
         call(m, Alphabet(size))
+
+
+# Every number that must lie in (0, inf), by the name its message gives it.
+# from_seconds checks its frame counts, window_s or stride_s times the rate,
+# here 1 Hz, so the message shows the value given.
+POSITIVE = {
+    "check_positive": ("x", lambda v: check_positive(v, "x")),
+    "ProbMatrix": ("sample rate", lambda v: ProbMatrix(WORKED_ROWS, v)),
+    "eventize": ("sample rate", lambda v: eventize([0, 1], v)),
+    "threshold_detect": (
+        "sample rate", lambda v: threshold_detect([1.0], v, ThresholdParams(1.0, -1.0, 0.0, 0.0))
+    ),
+    "TwoStageParams": ("minimum distance", lambda v: TwoStageParams(min_distance_s=v)),
+    "ThresholdParams": ("t1", lambda v: ThresholdParams(v, -1.0, 0.0, 0.0)),
+    "from_seconds-rate": ("sample rate", lambda v: WindowSpec.from_seconds(8.0, v)),
+    "from_seconds-window": ("window frames", lambda v: WindowSpec.from_seconds(v, 1.0)),
+    "from_seconds-stride": ("stride frames", lambda v: WindowSpec.from_seconds(8.0, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", (0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")))
+@pytest.mark.parametrize("what, call", list(POSITIVE.values()), ids=list(POSITIVE))
+def test_positive_numbers_have_one_rule(what, call, value):
+    call(1.0)
+    call(5e-324)  # the smallest positive float is accepted
+    message = f"{what} must be in (0, inf), got {value}"
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_check_positive_returns_the_value():
+    assert check_positive(2.5, "x") == 2.5

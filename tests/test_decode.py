@@ -29,6 +29,7 @@ from ctcdetect import (
     prefix_beam_search,
     prob_brute_force,
     slide_windows,
+    sweep_beam_width,
 )
 from ctcdetect import decode, lockstep
 from ctcdetect.decode import _alignment, _hypothesis, _search
@@ -361,6 +362,43 @@ class TestMatchesReference:
         labels = [trie.label(node) for node in range(len(trie.parent))]
         assert labels.count((E, D)) == 1
         assert len(set(labels)) == len(labels)
+
+
+# Every search entry point takes its beam width through check_beam_width.
+SEARCH_ENTRY_POINTS = {
+    "extended_prefix_beam_search": extended_prefix_beam_search,
+    "prefix_beam_search": prefix_beam_search,
+    "detect_pipeline": lambda m, ab, width: detect_pipeline(m, WindowSpec(2, 1), ab, beam_width=width),
+    "sweep_beam_width": lambda m, ab, width: sweep_beam_width(m, ab, [width]),
+}
+
+
+@pytest.mark.parametrize("search", list(SEARCH_ENTRY_POINTS.values()), ids=list(SEARCH_ENTRY_POINTS))
+def test_beam_width_must_be_an_integer(worked_matrix, worked_alphabet, search):
+    for width in (2.5, "3", 3.0):
+        with pytest.raises(ParameterError, match=f"^beam width must be an integer, got {width!r}$"):
+            search(worked_matrix, worked_alphabet, width)
+    with pytest.raises(ParameterError, match="^beam width must be >= 1, got 0$"):
+        search(worked_matrix, worked_alphabet, 0)
+    # numpy integers are integers
+    assert search(worked_matrix, worked_alphabet, np.int64(3)) == search(worked_matrix, worked_alphabet, 3)
+
+
+def test_tie_keys_put_the_empty_prefix_first():
+    # the empty prefix is edge 0, the root below itself by a blank; tied with
+    # a child or a grandchild, it is the common ancestor and its key (0,)
+    # sorts first. The batch's nodes, each window's root below node 0 by a
+    # blank, give keys in the same order.
+    trie = decode._Trie(3)
+    child = trie.add(0 * 3 + D)  # (D,)
+    grandchild = trie.add(child * 3 + E)  # (D, E)
+    assert trie.tie_keys([child * 3 + E, 0 * 3 + D, 0]) == [(D, E), (D,), (0,)]
+    assert trie.tie_keys([0, child * 3 + E]) == [(0,), (D, E)]
+    assert trie.tie_keys([grandchild * 3 + D, 0]) == [(D, E, D), (0,)]
+    nodes = lockstep._Nodes(1, 3)  # window 0's root is node 1
+    (b_child,) = nodes.add(np.array([1]), np.array([D]))
+    keys = nodes.tie_keys([int(b_child) * 3 + E, 1 * 3 + D, 0])
+    assert sorted(range(3), key=keys.__getitem__) == [2, 1, 0]
 
 
 @pytest.mark.parametrize("kind", STREAM_KINDS)

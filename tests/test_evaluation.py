@@ -10,6 +10,7 @@ from ctcdetect import (
     evaluate,
     prf1,
 )
+from ctcdetect.io import FormatError, read_gt_csv
 
 from conftest import D, E
 
@@ -156,3 +157,39 @@ class TestPrf1:
             total.tp / (total.tp + total.fp1 + total.fp2 + total.fp3)
         )
         assert both.recall == pytest.approx(total.tp / (total.tp + total.fn))
+
+
+def _evaluate(tmp_path, intervals):
+    evaluate([], [GroundTruthEvent(E, start, end) for start, end in intervals])
+
+
+def _read_gt_csv(tmp_path, intervals):
+    path = tmp_path / "gt.csv"
+    path.write_text("start_frame,end_frame,class\n" + "".join(f"{s},{e},E\n" for s, e in intervals))
+    read_gt_csv(path)
+
+
+# The interval rule has one owner, evaluation.check_intervals; the reader
+# sorts its rows first and prefixes the message with the file's path.
+@pytest.mark.parametrize(
+    "check, error", [(_evaluate, ParameterError), (_read_gt_csv, FormatError)],
+    ids=["evaluate", "read_gt_csv"],
+)
+@pytest.mark.parametrize(
+    "intervals, overlap",
+    [([(0, 5), (6, 8)], None),
+     ([(3, 3), (4, 4), (5, 9)], None),
+     ([(0, 5), (5, 8)], "[0, 5] and [5, 8]"),
+     ([(0, 10), (3, 4)], "[0, 10] and [3, 4]"),
+     ([(2, 2), (2, 2)], "[2, 2] and [2, 2]"),
+     ([(0, 1), (3, 6), (6, 6)], "[3, 6] and [6, 6]")],
+    ids=["adjacent", "single-frames", "one-shared-frame", "nested", "equal", "last-pair"],
+)
+def test_ground_truth_intervals_have_one_rule(tmp_path, check, error, intervals, overlap):
+    if overlap is None:
+        check(tmp_path, intervals)
+        return
+    with pytest.raises(error) as info:
+        check(tmp_path, intervals)
+    prefix = f"{tmp_path / 'gt.csv'}: " if error is FormatError else ""
+    assert str(info.value) == f"{prefix}ground-truth events overlap: {overlap}"

@@ -48,6 +48,14 @@ class TestSweepBeamWidth:
         with pytest.raises(ParameterError):
             sweep_beam_width(worked_matrix, worked_alphabet, ())
 
+    @pytest.mark.parametrize("ground_truth", [None, []])
+    def test_every_width_checked_before_any_search(self, worked_matrix, worked_alphabet, searches,
+                                                   ground_truth):
+        for widths in ([1, 0], [1, 2.5], [1, "3"]):
+            with pytest.raises(ParameterError, match="beam width must be"):
+                sweep_beam_width(worked_matrix, worked_alphabet, widths, ground_truth=ground_truth)
+        assert searches == []
+
     def test_f1_scored_against_truth(self, worked_alphabet):
         script = SyntheticScript(total_frames=100, events=((E, 20), (D, 60)))
         m, truth = gen_synthetic(script, worked_alphabet, sample_rate_hz=10.0)

@@ -45,6 +45,14 @@ class TestWindowSpec:
         with pytest.raises(ParameterError):
             WindowSpec.from_seconds(window_s, rate)
 
+    @pytest.mark.parametrize("window, stride", [(8.0, 4), (8, 4.0), (8, "4"), ("8", 4), (2.5, 1)])
+    def test_frame_counts_must_be_integers(self, window, stride):
+        with pytest.raises(ParameterError, match="window and stride must be integer frame counts"):
+            WindowSpec(window, stride)
+
+    def test_numpy_integers_are_frame_counts(self):
+        assert WindowSpec(np.int64(8), np.int32(4)) == WindowSpec(8, 4)
+
     def test_from_seconds_defaults_to_half_stride(self):
         spec = WindowSpec.from_seconds(8.0, 64.0)
         assert spec.window_frames == 512
@@ -65,6 +73,17 @@ class TestSlideWindows:
         assert len(windows) == 1
         assert windows[0][0] == 0
         assert windows[0][1].frames == 5
+
+    @pytest.mark.parametrize("total", [5, 8])
+    def test_short_recording_is_a_view_like_every_window(self, total):
+        # detect_pipeline's grid: windows span min(frames, window) frames, so
+        # a recording no longer than the window is one read-only view over all
+        # of it, not the matrix itself
+        m = _uniform_matrix(total, rate=4.0)
+        [(start, w)] = slide_windows(m, WindowSpec(8, 4))
+        assert start == 0 and w is not m and w.frames == total
+        assert np.shares_memory(w.probs, m.probs) and not w.probs.flags.writeable
+        assert w.sample_rate_hz == 4.0
 
     def test_every_frame_covered(self):
         rng = np.random.default_rng(2)
