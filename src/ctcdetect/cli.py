@@ -45,11 +45,8 @@ def _names(alphabet: Alphabet, tokens) -> list[str]:
 
 
 def _truth(gt_rows, alphabet: Alphabet) -> list[GroundTruthEvent]:
-    """Ground-truth rows as events sorted by start frame."""
-    return sorted(
-        (GroundTruthEvent(alphabet.id_of(name), lo, hi) for lo, hi, name in gt_rows),
-        key=lambda e: e.start_frame,
-    )
+    """read_gt_csv's rows as events, in its start-frame order."""
+    return [GroundTruthEvent(alphabet.id_of(name), lo, hi) for lo, hi, name in gt_rows]
 
 
 def _load_probs(args, require_rate: bool) -> tuple[ProbMatrix, Alphabet]:

@@ -230,7 +230,7 @@ def collapse(tokens, alphabet: Alphabet) -> TokenSeq:
     for tok in tokens:
         tok = int(tok)
         if not 0 <= tok < alphabet.size:
-            raise InvalidTokenError(f"token {tok} outside alphabet of size {alphabet.size}")
+            alphabet.validate_token(tok)  # raises InvalidTokenError
         if tok != prev and tok != BLANK_ID:
             out.append(tok)
         prev = tok

@@ -257,7 +257,7 @@ def write_gt_csv(path, events: list[GroundTruthEvent], alphabet: Alphabet) -> No
 
 
 def read_gt_csv(path) -> list[tuple[int, int, str]]:
-    """Ground-truth events as (start_frame, end_frame, class_name) rows.
+    """Ground-truth events as (start_frame, end_frame, class_name) rows, by start frame.
 
     Each interval must run forward and no two may share a frame.
     """
@@ -265,8 +265,9 @@ def read_gt_csv(path) -> list[tuple[int, int, str]]:
     for lineno, (start, end, _) in enumerate(rows, start=2):
         if start > end:
             raise FormatError(f"{path}:{lineno}: event start {start} after end {end}")
+    rows.sort()
     try:
-        check_intervals(sorted((start, end) for start, end, _ in rows))
+        check_intervals([(start, end) for start, end, _ in rows])
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     return rows

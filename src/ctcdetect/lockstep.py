@@ -35,7 +35,8 @@ the batch reaches them, so no logged copy of the whole recording is held.
 Alignments are kept as one small backpointer per candidate per frame, its
 source row times n_tokens plus its token, and the top alignments of all
 windows are traced back together; each is checked to collapse to its
-window's top label, as decode._hypothesis checks.
+window's top label, as decode._hypothesis checks. No array is sized by
+the width, so a batch's memory follows the rows its beams really hold.
 
 The pipeline imports this module when it first decodes by beam, so importing
 the package does not compile it.
@@ -135,12 +136,13 @@ class _Lockstep:
     2i + 1 its non-blank-ending one, with their log-probabilities (-inf where
     there is none) and orders (rank times n_tokens, as in _candidates).
     Extension rows are (k * (n_tokens - 1), W), the extension of entry i by
-    token c in row i * (n_tokens - 1) + c - 1.
+    token c in row i * (n_tokens - 1) + c - 1. No array is sized by the
+    width, so memory follows the rows the beams really hold.
     """
 
     def __init__(self, n_windows: int, n_tokens: int, beam_width: int) -> None:
-        w, k, n = n_windows, beam_width, n_tokens
-        self.n, self.width = n, k
+        w, n = n_windows, n_tokens
+        self.n, self.width = n, beam_width
         self.nodes = _Nodes(w, n)
         # each window's beam holds its empty prefix alone
         self.node = np.arange(1, w + 1)[None, :]
@@ -149,11 +151,9 @@ class _Lockstep:
         self.tot = self.pb.copy()
         self.cand = np.array([[0.0], [NEG_INF]]).repeat(w, axis=1)
         self.order = np.zeros((2, w), np.int64)
-        self.back_dtype = np.min_scalar_type(2 * k * n - 1)
         # a row index r picks element r * W + window of a flattened array
         self.window = np.arange(w)
         self.classes = np.arange(1, n)[:, None]
-        self.index = np.repeat(np.arange(2 * k)[:, None], w, axis=1)  # each row's own
         self.nodes.row[self.node[0]] = 0
 
     def _at(self, rows: np.ndarray) -> np.ndarray:
@@ -266,13 +266,13 @@ class _Lockstep:
         if new.any():
             node[new] = self.nodes.add(self.node.take(at_s)[new], token[new])
         self.nodes.row[self.node] = -1
-        self.nodes.row[node[live]] = self.index[: len(kept)][live]
+        self.nodes.row[node[live]] = np.nonzero(live)[0]
         self.pb = np.where(own, b.take(at_j), NEG_INF)
         self.pnb = np.where(own, pnb.take(at_j), self.tot)
         self.node = node
-        shape, none = (2 * len(kept), len(self.window)), 2 * self.width * n
+        shape, none = (2 * len(kept), len(self.window)), 2 * k * n  # above all orders, backs
         cand, order = np.empty(shape), np.empty(shape, np.int64)
-        back = np.empty(shape, self.back_dtype)
+        back = np.empty(shape, np.min_scalar_type(none - 1))
         cand[0::2], cand[1::2] = blank, nb
         order[0::2] = np.where(blank != NEG_INF, blank_o, none)
         order[1::2] = np.where(nb != NEG_INF, nb_o, none)
@@ -280,7 +280,7 @@ class _Lockstep:
         back[1::2] = nb_s * n + token
         # each candidate's order becomes its rank in its window times n
         rank = np.empty_like(order)
-        rank.put(self._at(np.argsort(order, axis=0, kind="stable")), self.index[: len(order)])
+        rank[np.argsort(order, axis=0, kind="stable"), self.window] = np.arange(len(order))[:, None]
         self.cand, self.order = cand, rank * n
         return back
 
@@ -321,9 +321,9 @@ def search_windows(
     """Each window's top hypothesis, the windows searched by the module's rules.
 
     Window w covers rows starts[w] to starts[w] + frames of ``probs``.
-    Returns the top alignments as rows of one int array, the top labels, and
-    the top label's and alignment's log-probabilities, each bit for bit what
-    _search and _hypothesis give for that window alone.
+    Returns the top alignments as rows of one array typed to fit a token, the
+    top labels, and the top label's and alignment's log-probabilities, each bit
+    for bit what _search and _hypothesis give for that window alone.
 
     Where a worker is forked (_usable_cpus counts the CPUs), one that fails
     or dies sends no whole result, and this process warns (RuntimeWarning,
@@ -454,7 +454,8 @@ def _search_one(rows: np.ndarray, beam_width: int):
     n_tokens = rows.shape[1]
     beams, trie = _search(log_matrix(rows).tolist(), n_tokens, beam_width)
     top = _hypothesis(beams[0], trie, Alphabet(n_tokens))
-    return [top.alignment], [top.label], [top.log_probability], [top.alignment_log_probability]
+    alignment = np.array([top.alignment], np.min_scalar_type(n_tokens - 1))
+    return alignment, [top.label], [top.log_probability], [top.alignment_log_probability]
 
 
 def _search_batch(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width: int):
@@ -471,7 +472,7 @@ def _search_batch(probs: np.ndarray, starts: np.ndarray, frames: int, beam_width
     row = (cnb != NEG_INF) & ((cnb > cb) | (cnb == cb) & (order[1] < order[0]))
     alignment_log_probs = np.where(row, cnb, cb)
     row = row.astype(np.int64)
-    alignments = np.empty((n_windows, frames), beams.back_dtype)
+    alignments = np.empty((n_windows, frames), np.min_scalar_type(n_tokens - 1))
     for t in range(frames - 1, -1, -1):
         row, alignments[:, t] = np.divmod(back[t].take(beams._at(row)).astype(np.int64), n_tokens)
     tokens, lengths = beams.nodes.labels(beams.node[0])

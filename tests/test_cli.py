@@ -597,3 +597,24 @@ def test_eval_output_text(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(_EVAL) == EXIT_OK
     assert capsys.readouterr().out == EVAL_TEXT
+
+
+def test_ground_truth_row_order_changes_no_output(tmp_path, capsys):
+    # read_gt_csv returns its rows by start frame, so eval and sweep print the
+    # same bytes for a ground-truth file and for its rows reversed
+    probs, gt = _gen_recording(tmp_path, events="E@10,D@30,E@50,D@70",
+                               extra=("--noise", "0.4", "--seed", "2"))
+    header, *rows = gt.read_text().splitlines()
+    reversed_gt = tmp_path / "reversed_gt.csv"
+    reversed_gt.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    assert read_gt_csv(reversed_gt) == read_gt_csv(gt) == sorted(read_gt_csv(gt))
+    dets = tmp_path / "dets.csv"
+    assert main(["detect", str(probs), "--window-s", "4", "--output", str(dets)]) == EXIT_OK
+    outs = []
+    for truth in (gt, reversed_gt):
+        capsys.readouterr()
+        assert main(["eval", "--detections", str(dets), "--ground-truth", str(truth)]) == EXIT_OK
+        assert main(["sweep", str(probs), "--widths", "1,3", "--window-s", "4",
+                     "--ground-truth", str(truth)]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and '"tp": ' in outs[0]

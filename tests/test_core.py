@@ -105,8 +105,14 @@ class TestCollapse:
         assert collapse((E, 0, E), worked_alphabet) == (E, E)
 
     def test_rejects_out_of_range_token(self, worked_alphabet):
-        with pytest.raises(InvalidTokenError):
-            collapse((E, 7), worked_alphabet)
+        # with the token-range message of Alphabet.validate_token, written once
+        for token in (-1, worked_alphabet.size, 7):
+            with pytest.raises(InvalidTokenError) as collapsed:
+                collapse((E, token), worked_alphabet)
+            with pytest.raises(InvalidTokenError) as validated:
+                worked_alphabet.validate_token(token)
+            expected = f"token {token} outside alphabet of size {worked_alphabet.size}"
+            assert str(collapsed.value) == str(validated.value) == expected
 
     def test_never_longer_and_never_blank(self, worked_alphabet):
         rng = np.random.default_rng(3)

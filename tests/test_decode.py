@@ -663,10 +663,29 @@ class TestSearchWindows:
         alone = search_windows(probs, starts, 8, width)
         assert batched == []
         assert alone[0].shape == (n_windows, 8)
+        # one alignment type on every path, the smallest that holds a token
+        assert alone[0].dtype == batch[0].dtype == np.min_scalar_type(2)
         assert alone[0].tolist() == batch[0].tolist()
         assert alone[1] == batch[1]
         for i in (2, 3):
             assert [x.hex() for x in alone[i].tolist()] == [x.hex() for x in batch[i].tolist()]
+
+    def test_batch_holds_nothing_sized_by_the_width(self):
+        # a batch's arrays hold the rows its beams hold, so a width they
+        # never reach costs no memory
+        beams = lockstep._Lockstep(3, 3, 10**6)
+        arrays = [value for held in (beams, beams.nodes) for value in vars(held).values()
+                  if isinstance(value, np.ndarray)]
+        assert arrays and max(array.size for array in arrays) <= 100
+
+    def test_wide_beam_on_clean_windows(self):
+        # one-hot rows keep one entry per beam: a width of a million searches
+        # the batch as width 3 does, to the bit and the alignment type
+        probs, starts = _windows(lockstep._MIN_BATCH_WINDOWS, 5, "one-hot")
+        narrow = search_windows(probs, starts, 8, 3)
+        wide = search_windows(probs, starts, 8, 10**6)
+        assert wide[0].dtype == narrow[0].dtype
+        assert_same_windows(wide, narrow)
 
     def test_package_import_leaves_the_batch_unloaded(self):
         # the pipeline imports the batch on its first beam decode, so that
@@ -762,7 +781,8 @@ class TestSearchWindows:
         shared = search_windows(probs, starts, 8, 3)
         assert forks == [os.getpid()] * n_forks and searched == [n_windows // n_shares]
         assert_no_child_left()
-        assert shared[0].dtype == one[0].dtype and shared[0].shape == (n_windows, 8)
+        assert shared[0].dtype == one[0].dtype == np.min_scalar_type(2)
+        assert shared[0].shape == (n_windows, 8)
         assert shared[0].tolist() == one[0].tolist()
         assert shared[1] == one[1]
         for i in (2, 3):
