@@ -75,8 +75,8 @@ def two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[Detection]:
     by frame.
     """
     pooled = m.probs[:, 1:]
-    score = pooled.max(axis=1)
-    cls = pooled.argmax(axis=1) + 1
+    best = pooled.argmax(axis=1)  # rows are finite: the maximum is at the first argmax
+    score = np.take_along_axis(pooled, best[:, None], axis=1)[:, 0]
     rate = m.sample_rate_hz
     min_frames = params.min_distance_s * rate
     # highest score first; the stable sort keeps tied frames in frame order,
@@ -88,7 +88,7 @@ def two_stage_detect(m: ProbMatrix, params: TwoStageParams) -> list[Detection]:
     for peak in order.tolist():
         if suppressed[peak]:
             continue
-        detections.append(Detection(int(cls[peak]), peak, peak / rate))
+        detections.append(Detection(int(best[peak]) + 1, peak, peak / rate))
         lo = int(np.ceil(peak - min_frames + 1e-9))
         hi = int(np.floor(peak + min_frames - 1e-9))
         suppressed[max(lo, 0) : min(hi, score.size - 1) + 1] = True

@@ -149,9 +149,8 @@ class ProbMatrix:
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
             raise ParameterError(f"expected a (frames, tokens>=2) matrix, got shape {arr.shape}")
         check_positive(self.sample_rate_hz, "sample rate")
-        outside = np.argwhere(~((arr >= 0.0) & (arr <= 1.0)))  # NaN fails both tests
-        if outside.size:
-            t, c = outside[0]
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both tests
+            t, c = np.argwhere(~((arr >= 0.0) & (arr <= 1.0)))[0]
             raise NormalizationError(
                 f"probability at frame {t}, token {c} is {arr[t, c]}, out of [0, 1]"
             )

@@ -183,15 +183,17 @@ class _Trie:
         out.reverse()
         return tuple(out)
 
-    def tie_keys(self, edges: list[int]) -> list[TokenSeq]:
+    def tie_keys(self, edges: list[int]) -> list[TokenSeq] | list[int]:
         """Sort keys for the distinct prefixes that ``edges`` name.
 
-        Each key is the prefix's tokens below the deepest ancestor common to
-        all of them, so the keys sort exactly like the prefixes. Only the
-        parents are walked, each up to that ancestor and each step once.
+        Edges of one parent are their own keys. Other keys are the tokens
+        below the deepest ancestor common to all the prefixes, each parent
+        step walked once. Either way the keys sort exactly like the prefixes.
         """
         n, parent, token = self.n_tokens, self.parent, self.token
         heads = {e // n for e in edges}
+        if len(heads) == 1:  # siblings sort like their tokens, the root's edge 0 first
+            return edges
         tails = {head: [] for head in heads}
         front = {head: [head] for head in heads}  # ancestor -> heads below it
         while len(front) > 1:

@@ -15,9 +15,10 @@ from the header so files round-trip without extra configuration.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
+import mmap
+import os
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,9 +31,10 @@ from .windowing import Detection
 
 
 _WRITE_BLOCK_ROWS = 1024
+_SCAN_BLOCK = 1 << 20  # bytes per mask of the CSV scan: a whole-file mask raises peak memory
 # ASCII file, group, record and unit separators: numpy strips them around a
 # number as whitespace, Python's float() rejects them
-_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class FormatError(DataError):
@@ -202,37 +204,48 @@ def _read_prob_rows_fast(path) -> tuple[list[str], np.ndarray] | None:
     - fewer rows than data lines: ``loadtxt`` skips blank lines, the loop
       rejects them.
 
-    Every column is converted, ``t`` too, so that a row with an extra column
-    cannot pass unseen.
+    The line guards are one numpy scan of the bytes (:func:`_data_lines`).
+    Every column is converted, ``t`` too, so that an extra one cannot pass unseen.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    lines = io.BytesIO(raw)
-    first = lines.readline()
-    if (
-        len(first) == len(raw)
-        or raw.startswith((b"\n", b"\r"), len(first))
-        or not raw.isascii()
-        or any(byte in raw for byte in _NUMPY_ONLY_SPACE)
-        or raw.count(b"\r") != raw.count(b"\r\n")
-        or b'"' in first
-        or max(map(len, io.BytesIO(raw))) > csv.field_size_limit()
-    ):
-        return None
-    try:
-        header = next(csv.reader([first.decode("ascii")]), [])
-    except csv.Error:
-        return None
-    names = _prob_class_names(path, header)
-    data_lines = raw.count(b"\n", len(first)) + (not raw.endswith(b"\n"))
-    try:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    del raw, lines  # free the file's text before the copy below
+    # an anonymous map, not the malloc heap: closed, it gives the file's memory back at once
+    with open(path, "rb") as fh, mmap.mmap(-1, max(os.fstat(fh.fileno()).st_size, 1)) as raw:
+        if fh.readinto(raw) != len(raw) or fh.read(1):  # empty, or resized while read
+            return None
+        if (data_lines := _data_lines(raw)) is None:
+            return None
+        try:
+            header = next(csv.reader([raw.readline().decode("ascii")]), [])
+        except csv.Error:
+            return None
+        names = _prob_class_names(path, header)
+        try:
+            rows = np.loadtxt(iter(raw.readline, b""), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
     if rows.shape != (data_lines, len(header)):
         return None
-    return names, np.ascontiguousarray(rows[:, 1:])
+    return names, rows[:, 1:]  # a view: ProbMatrix makes the one copy
+
+
+def _data_lines(raw: bytes | mmap.mmap) -> int | None:
+    """Data lines in ``raw``, or None if a guard of _read_prob_rows_fast refuses it: one numpy scan."""
+    text, ends, crs = np.frombuffer(raw, np.uint8), [np.zeros(0, np.intp)], 0
+    for lo in range(0, len(raw), _SCAN_BLOCK):
+        ends.append(np.flatnonzero(text[lo : lo + _SCAN_BLOCK] == 10) + lo)
+        crs += np.count_nonzero(text[lo : lo + _SCAN_BLOCK] == 13)
+    ends = np.concatenate(ends)  # the last line may have no newline
+    if (
+        ends.size == 0 or ends[0] == len(raw) - 1  # no data line
+        or raw[ends[0] + 1] in b"\n\r"
+        or text.max() > 127
+        or any(raw.find(byte) >= 0 for byte in _NUMPY_ONLY_SPACE)
+        # each CR ends a line with LF; a newline at 0 reads itself, not a CR
+        or crs != np.count_nonzero(text[np.maximum(ends, 1) - 1] == 13)
+        or b'"' in raw[: ends[0] + 1]
+        or max(np.diff(ends, prepend=-1).max(), len(raw) - 1 - ends[-1]) > csv.field_size_limit()
+    ):
+        return None
+    return ends.size - 1 + (raw[-1] != 10)
 
 
 def write_detections_csv(path, detections: list[Detection], alphabet: Alphabet) -> None:

@@ -103,23 +103,27 @@ def majority_vote(
     CoverageError if any frame has no vote and InvalidTokenError for a token
     outside the alphabet.
     """
-    counts = np.zeros((total_frames, alphabet.size), dtype=np.int64)
-    for start, tokens in alignments:
-        idx = np.asarray(tokens, dtype=np.int64)
-        if start < 0 or start + idx.size > total_frames:
-            raise ParameterError(
-                f"alignment at {start} (+{idx.size}) falls outside {total_frames} frames"
-            )
-        bad = idx[(idx < 0) | (idx >= alphabet.size)]
-        if bad.size:
-            alphabet.validate_token(int(bad[0]))  # raises InvalidTokenError
-        counts[np.arange(start, start + idx.size), idx] += 1
-    uncovered = np.flatnonzero(counts.sum(axis=1) == 0)
+    starts = np.array([start for start, _ in alignments], dtype=np.int64)
+    sizes = np.array([np.size(seq) for _, seq in alignments], dtype=np.int64)
+    ends = np.cumsum(sizes)  # where each window's votes end among all votes
+    tokens = np.concatenate([np.asarray(seq) for _, seq in alignments] or [np.zeros(0, np.int64)])
+    # the first offending window raises, its bounds before its tokens
+    outside = np.flatnonzero((starts < 0) | (starts + sizes > total_frames))
+    bad = np.flatnonzero((tokens < 0) | (tokens >= alphabet.size))
+    if outside.size and not (bad.size and np.searchsorted(ends, bad[0], "right") < outside[0]):
+        w = outside[0]
+        raise ParameterError(f"alignment at {starts[w]} (+{sizes[w]}) falls outside {total_frames} frames")
+    if bad.size:
+        alphabet.validate_token(int(tokens[bad[0]]))  # raises InvalidTokenError
+    votes = np.repeat(starts - ends + sizes, sizes)  # built in place: copies raise peak memory
+    votes += np.arange(votes.size)  # each vote's frame
+    votes += np.multiply(tokens, total_frames, dtype=np.int64)  # and its (token, frame) cell
+    votes = np.bincount(votes, minlength=alphabet.size * total_frames).reshape(alphabet.size, total_frames)
+    uncovered = np.flatnonzero(votes.sum(axis=0) == 0)
     if uncovered.size:
         raise CoverageError(f"frame {uncovered[0]} received no window vote")
-    best = counts.max(axis=1)
-    tied = (counts == best[:, None]).sum(axis=1) > 1
-    return np.where(tied, BLANK_ID, counts.argmax(axis=1))
+    lead = votes == votes.max(axis=0)  # argmax of votes itself would copy them
+    return np.where(lead.sum(axis=0) > 1, BLANK_ID, lead.argmax(axis=0))
 
 
 def eventize(frame_tokens, sample_rate_hz: float) -> list[Detection]:
@@ -130,19 +134,11 @@ def eventize(frame_tokens, sample_rate_hz: float) -> list[Detection]:
     """
     check_positive(sample_rate_hz, "sample rate")
     tokens = np.asarray(frame_tokens, dtype=np.int64)
-    if tokens.size == 0:
-        return []
-    boundaries = np.flatnonzero(np.diff(tokens)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [tokens.size]))
-    detections = []
-    for lo, hi in zip(starts, ends):
-        cls = int(tokens[lo])
-        if cls == BLANK_ID:
-            continue
-        frame = int(lo + (hi - 1 - lo) // 2)
-        detections.append(Detection(cls, frame, frame / sample_rate_hz))
-    return detections
+    starts = np.flatnonzero(np.diff(tokens, prepend=~tokens[:1]))  # ~t != t: frame 0 starts a run
+    medians = (starts + np.append(starts[1:], tokens.size) - 1) // 2  # the lower middle
+    event = tokens[starts] != BLANK_ID
+    classes, frames = tokens[starts[event]].tolist(), medians[event].tolist()
+    return [Detection(cls, frame, frame / sample_rate_hz) for cls, frame in zip(classes, frames)]
 
 
 def detect_pipeline(

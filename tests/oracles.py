@@ -11,10 +11,14 @@ probabilities, alignments and tie-breaks, bit for bit. After it comes a
 frozen copy of the original two-stage detector, which ran one argmax over
 the whole recording per detection, and one of the original forward pass,
 which copied its state vector and gathered its frame's scores every frame.
+Last, a frozen copy of the probability-CSV fast reader's byte guards as they
+were first written, four passes over the bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -392,3 +396,25 @@ def reference_log_prob_forward(m: ProbMatrix, label) -> float:
         alpha[skip] = np.logaddexp(alpha[skip], prev[skip - 2])
         alpha += log_p[t, aug]
     return float(np.logaddexp.reduce(alpha[-2:]))
+
+
+# --- frozen reference byte guards of the fast probability-CSV reader --------
+
+# ASCII file, group, record and unit separators
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
+
+
+def reference_fast_reader_refusal(raw: bytes) -> tuple[bool, int]:
+    """Whether the fast reader's byte guards refuse ``raw``, and its data lines."""
+    lines = io.BytesIO(raw)
+    first = lines.readline()
+    refused = (
+        len(first) == len(raw)
+        or raw.startswith((b"\n", b"\r"), len(first))
+        or not raw.isascii()
+        or any(byte in raw for byte in _NUMPY_ONLY_SPACE)
+        or raw.count(b"\r") != raw.count(b"\r\n")
+        or b'"' in first
+        or max(map(len, io.BytesIO(raw))) > csv.field_size_limit()
+    )
+    return refused, raw.count(b"\n", len(first)) + (not raw.endswith(b"\n"))

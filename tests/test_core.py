@@ -156,6 +156,10 @@ class TestProbMatrix:
         with pytest.raises(ValueError, match="out of"):
             validate_prob_matrix([[1.2, -0.2]])
 
+    def test_entry_above_one_rejected_before_its_row_sum(self):
+        with pytest.raises(NormalizationError, match=r"^probability at frame 1, token 1 is 1.5, out of"):
+            ProbMatrix([[0.5, 0.5], [0.0, 1.5]])
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, value):
         rows = np.full((3, 2), 0.5)

@@ -401,6 +401,22 @@ def test_tie_keys_put_the_empty_prefix_first():
     assert sorted(range(3), key=keys.__getitem__) == [2, 1, 0]
 
 
+def test_tie_keys_of_one_parent_are_the_edges():
+    # an edge is parent * n_tokens + token, so siblings' edges sort like their
+    # tokens, and the root's own edge 0 sorts before its children's: edges of
+    # one parent are their own keys, in the order the walk gives them
+    trie = decode._Trie(3)
+    child = trie.add(0 * 3 + D)  # (D,)
+    siblings, root_and_children = [child * 3 + E, child * 3 + D], [0 * 3 + E, 0, 0 * 3 + D]
+    for edges, other in ((siblings, 0 * 3 + E), (root_and_children, child * 3 + E)):
+        assert trie.tie_keys(edges) == edges
+        # tied with an edge of another parent, they are walked: the same order
+        walked = dict(zip(edges, trie.tie_keys(edges + [other])))
+        assert sorted(edges) == sorted(edges, key=walked.get)
+    nodes = lockstep._Nodes(1, 3)  # window 0's root is node 1
+    assert nodes.tie_keys([1 * 3 + E, 1 * 3 + D]) == [1 * 3 + E, 1 * 3 + D]
+
+
 @pytest.mark.parametrize("kind", STREAM_KINDS)
 def test_trie_holds_at_most_frames_times_width_nodes(kind):
     rng = np.random.default_rng(STREAM_KINDS.index(kind))

@@ -1,6 +1,8 @@
 import csv
 import json
+import mmap
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from ctcdetect.io import (
 )
 
 from conftest import D, E
+from oracles import reference_fast_reader_refusal
 
 
 # 0 and 1, a value %.12g rounds, and values %.12g prints with an exponent
@@ -238,6 +241,70 @@ class TestProbCsvReaders:
         path = tmp_path / "p.csv"
         path.write_bytes(content)
         assert fileio._read_prob_rows_fast(path) is None
+
+
+def _scan_matches_reference(content: bytes) -> None:
+    refused, data_lines = reference_fast_reader_refusal(content)
+    expected = None if refused else data_lines
+    # small blocks split lines and CR LF pairs between two masks
+    for block in (1, 3, 4093, fileio._SCAN_BLOCK) if len(content) < 4093 else (4093, fileio._SCAN_BLOCK):
+        with mock.patch.object(fileio, "_SCAN_BLOCK", block):
+            assert fileio._data_lines(content) == expected
+    if content:  # the reader scans an anonymous map, which lacks some of bytes' methods
+        with mmap.mmap(-1, len(content)) as mapped:
+            mapped[:] = content
+            assert fileio._data_lines(mapped) == expected
+
+
+_HEADER = b"t,p_blank,p_E\n"
+_ZEROS = _LIMIT - len(b"0,1,0.\n")  # zeros that make a data line exactly _LIMIT bytes long
+
+
+class TestProbCsvByteScan:
+    """The fast reader's one-scan byte guards against the four passes they replace."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(content=prob_csv_bytes())
+    def test_matches_the_four_pass_guards(self, content):
+        _scan_matches_reference(content)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"\n", b"\r", b"\r\n", b"\n0,1,0\r\n", b"\n0,1,0\r",
+         _HEADER + b"0,1,0\r", b"t,p_blank,p_E\r\n0,1,0\r\n1,1,0\r", _HEADER + b"0,1,0\n1,1,\r0",
+         _HEADER + b"0,1,0\r\r\n", b"t,p_blank,p_E\r\n0,1,0\r\n1,1,0",
+         b"t,p_blank,p_E", _HEADER, b"t,p_blank,p_E\r\n",
+         _HEADER + b"0,1,0." + b"0" * _ZEROS + b"\n", _HEADER + b"0,1,0." + b"0" * (_ZEROS + 1) + b"\n",
+         _HEADER + b"0,1,0." + b"0" * (_ZEROS + 1), _HEADER + b"0,1,0." + b"0" * (_ZEROS + 2),
+         b"t,p_blank,p_" + b"E" * (_LIMIT - 13) + b"\n0,1,0\n",
+         b"t,p_blank,p_" + b"E" * (_LIMIT - 12) + b"\n0,1,0\n"],
+        ids=["empty", "newline", "carriage-return", "crlf", "blank-header", "blank-header-cr-last-byte",
+             "cr-last-byte", "crlf-then-cr-last-byte", "lone-cr-before-last-byte",
+             "cr-cr-lf", "crlf-no-final-newline",
+             "header-only", "header-only-newline", "header-only-crlf",
+             "line-at-limit", "line-past-limit", "last-line-at-limit", "last-line-past-limit",
+             "header-at-limit", "header-past-limit"],
+    )
+    def test_matches_the_four_pass_guards_at_the_edges(self, content):
+        _scan_matches_reference(content)
+
+    def test_written_recordings_take_the_fast_path(self, tmp_path):
+        # the writer prints exponents (1.2e-05) for a noisy recording's small
+        # values and exact 0 and 1 for a clean one's; should the byte guards
+        # refuse them, every read would fall back to the slower csv loop
+        alphabet = Alphabet.from_names(["E", "D"])
+        parts = [
+            gen_synthetic(SyntheticScript(200, ((E, 50), (D, 120)), noise_level=noise, seed=3),
+                          alphabet, 64.0)[0].probs
+            for noise in (0.0, 0.001)
+        ]
+        path = tmp_path / "rec.csv"
+        write_prob_csv(path, ProbMatrix(np.vstack(parts), 64.0), alphabet)
+        text = path.read_text()
+        assert "e-05" in text and ",0," in text and ",1," in text
+        fast, loop = fileio._read_prob_rows_fast(path), fileio._read_prob_rows(path)
+        assert fast is not None
+        assert fast[0] == loop[0] and fast[1].tobytes() == loop[1].tobytes()
 
 
 class TestDetectionCsv:

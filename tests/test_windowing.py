@@ -148,6 +148,19 @@ class TestMajorityVote:
         with pytest.raises(ParameterError, match=r"^alignment at 5 \(\+2\) falls outside 6"):
             majority_vote([(5, (0, 1))], 6, worked_alphabet)
 
+    @pytest.mark.parametrize(
+        "alignments, error, message",
+        [([(0, (7,)), (5, (0,))], InvalidTokenError, "^token 7 "),
+         ([(5, (0,)), (0, (7,))], ParameterError, r"^alignment at 5 \(\+1\)"),
+         ([(0, (0,)), (1, (7, 7))], ParameterError, r"^alignment at 1 \(\+2\)")],
+        ids=["token-in-an-earlier-window", "bounds-in-an-earlier-window", "bounds-before-tokens"],
+    )
+    def test_first_offending_window_raises(self, worked_alphabet, alignments, error, message):
+        # windows are judged in order, each one's bounds before its tokens
+        with pytest.raises(error, match=message) as caught:
+            majority_vote(alignments, 2, worked_alphabet)
+        assert type(caught.value) is error
+
     def test_uncovered_frame_raises(self, worked_alphabet):
         with pytest.raises(CoverageError):
             majority_vote([(0, (E,))], 2, worked_alphabet)
