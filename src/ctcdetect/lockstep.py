@@ -22,21 +22,19 @@ per beam entry, as many rows as the fullest beam holds, so the moves, the
 merge of an extension into its own slot, the prune to each window's width
 best, and the kept rows' candidate picks with their order tie-break are
 numpy operations along the windows. Each is an exact IEEE add, compare or
-sort, so every window gets the bits that _search gives it. The log-adds
-are the exception: numpy's vectorised exp and log1p may round differently
-from math's, which would move masses by their last bit. So every
-hi + log1p(exp(lo - hi)) takes math.exp and math.log1p over the gathered
-differences, and the -inf cases are masked exactly where the scalar code
-branches on them, so no -inf - -inf is formed. A window whose best width + 1
-totals hold an exact tie orders that tie with decode._order_tied, in Python,
-and only such windows do; the prefix nodes are arrays, each window's below a
-root of its own. A frame's rows are gathered for all windows and logged as
-the batch reaches them, so no logged copy of the whole recording is held.
-Alignments are kept as one small backpointer per candidate per frame, its
-source row times n_tokens plus its token, and the top alignments of all
-windows are traced back together; each is checked to collapse to its
-window's top label, as decode._hypothesis checks. No array is sized by
-the width, so a batch's memory follows the rows its beams really hold.
+sort, or a log-add by np.logaddexp, which rounds as the scalar core's
+inline math form does (the contract in logspace, pinned by
+tests/test_logspace.py), so every window gets the bits that _search gives
+it. A window whose best width + 1 totals hold an exact tie orders that tie
+with decode._order_tied, in Python, and only such windows do; the prefix
+nodes are arrays, each window's below a root of its own. A frame's rows are
+gathered for all windows and logged as the batch reaches them, so no logged
+copy of the whole recording is held. Alignments are kept as one small
+backpointer per candidate per frame, its source row times n_tokens plus its
+token, and the top alignments of all windows are traced back together; each
+is checked to collapse to its window's top label, as decode._hypothesis
+checks. No array is sized by the width, so a batch's memory follows the
+rows its beams really hold.
 
 The pipeline imports this module when it first decodes by beam, so importing
 the package does not compile it.
@@ -48,7 +46,6 @@ import contextlib
 import os
 import pickle
 import warnings
-from math import exp, log1p
 from pathlib import Path
 
 import numpy as np
@@ -56,20 +53,6 @@ import numpy as np
 from .core import BLANK_ID, Alphabet, TokenSeq
 from .decode import _hypothesis, _order_tied, _search, _Trie
 from .logspace import NEG_INF, log_matrix
-
-
-def _log_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log(e^a + e^b) per element, as the scalar core rounds it.
-
-    hi + log1p(exp(lo - hi)) by math's exp and log1p where both parts hold
-    mass, else the one that does; no -inf - -inf is formed.
-    """
-    out = np.maximum(a, b)
-    lo = np.minimum(a, b)
-    both = lo != NEG_INF
-    d = (lo[both] - out[both]).tolist()
-    out[both] += np.fromiter(map(log1p, map(exp, d)), float, len(d))
-    return out
 
 
 class _Nodes:
@@ -165,8 +148,8 @@ class _Lockstep:
         W); returns each candidate's source row * n_tokens + its token."""
         last = self.nodes.token.take(self.node)
         b, r, into, rows, parent = self._moves(lp, last)
-        pnb = _log_add(r, into)
-        tot = _log_add(b, pnb)
+        pnb = np.logaddexp(r, into)
+        tot = np.logaddexp(b, pnb)
         kept = self._prune(tot, rows)
         return self._candidates(lp, last, kept, b, pnb, parent)
 

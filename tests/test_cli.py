@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ctcdetect import Alphabet, ProbMatrix, decode, extended_prefix_beam_search, lockstep
-from ctcdetect.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_PARAMETER, main
+from ctcdetect.cli import EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_PARAMETER, _parser, build_parser, main
 from ctcdetect.io import read_detections_csv, read_gt_csv, read_prob_csv, write_prob_csv
 
 from conftest import WORKED_ROWS, assert_no_child_left
@@ -618,3 +618,39 @@ def test_ground_truth_row_order_changes_no_output(tmp_path, capsys):
                      "--ground-truth", str(truth)]) == EXIT_OK
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and '"tp": ' in outs[0]
+
+
+def test_one_parser_serves_every_call(worked_csv, capsys):
+    # main builds its parser once per process, so no call may see what an
+    # earlier one parsed: a default follows an explicit --method, and usage
+    # (2) and parameter (5) errors come between successful runs
+    assert _parser() is _parser() is not build_parser()
+    csv = str(worked_csv)
+    runs = [
+        ["decode", csv, "--method", "greedy"],
+        ["decode", csv],
+        ["decode", csv, "--method", "viterbi"],
+        ["decode", csv, "--beam-width", "0"],
+        ["sweep", csv, "--widths", "1,3"],
+        ["decode", csv],
+    ]
+    results = []
+    for _ in range(2):
+        for argv in runs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+    assert results[:6] == results[6:]
+    codes = [code for code, _, _ in results[:6]]
+    assert codes == [EXIT_OK, EXIT_OK, 2, EXIT_PARAMETER, EXIT_OK, EXIT_OK]
+    greedy, default = (json.loads(results[i][1]) for i in (0, 1))
+    assert greedy["method"] == "greedy"
+    assert default["method"] == "extended-beam"
+    assert default["hypotheses"][0]["label"] == ["E", "E", "D"]
+    assert "invalid choice: 'viterbi'" in results[2][2]
+    assert results[3][2].startswith("ctcdetect: parameter error: ")
+    assert len(results[4][1].strip().splitlines()) == 3
+    assert results[5] == results[1]

@@ -629,6 +629,10 @@ class TestSearchWindows:
         for frames, spec in geometries:
             assert_batch_matches_search(ProbMatrix(_window_rows(kind, rng, frames, 6), 10.0),
                                         spec, width)
+        # 512-frame windows of three tokens, as the pipeline's: masses fall
+        # past -100 nats, which the short windows above never add
+        assert_batch_matches_search(ProbMatrix(_window_rows(kind, rng, 1300, 3), 10.0),
+                                    WindowSpec(512, 256), width)
 
     def test_windows_in_batches(self, monkeypatch):
         # a budget this small puts two windows in each batch, the last one alone
